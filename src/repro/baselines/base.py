@@ -63,7 +63,7 @@ class KernelInstance:
         self.dynamics: Dict[BlockId, LoopDynamics] = loop_dynamics(cdfg, trace)
         self.nests = cdfg.loop_nests()
         self._arm_groups = self._find_arm_groups()
-        self._placement_ii: Dict[Tuple[BlockId, int, int], int] = {}
+        self._placement_ii: Dict[Tuple[BlockId, int, int, int], int] = {}
         self._recurrence: Dict[BlockId, int] = {}
         self._threaded: Dict[BlockId, int] = {}
         self._serial_sibling: Dict[BlockId, bool] = {}
@@ -253,17 +253,18 @@ class KernelInstance:
                 return True
         return False
 
-    def share_placements(self, pool: Dict[Tuple[BlockId, int, int],
+    def share_placements(self, pool: Dict[Tuple[BlockId, int, int, int],
                                           int]) -> None:
-        """Adopt a placement memo shared across batch-compatible kernels.
+        """Adopt a placement memo shared across kernels of one CDFG.
 
-        Placement quality depends only on a block's DFG and the grid
-        geometry — exactly the ``(block, rows, cols)`` key below — so
-        every :class:`KernelInstance` built from the same (workload,
-        scale) CDFG may share one memo: a seed sweep prices its
-        placements once instead of once per seed (the engine's batch
-        grouping law, :mod:`repro.engine.batching`).  Entries computed
-        before adoption are folded into the pool.
+        A block's placement II depends only on its DFG and on what
+        :func:`~repro.compiler.place.placement_key` names (grid geometry
+        and nonlinear-capable PE count) — the memo key below — so every
+        :class:`KernelInstance` built from the same (workload, scale)
+        CDFG may share one memo: a seed sweep prices its placements once
+        instead of once per seed (the engine keeps one pool per
+        ``(workload, scale)``).  Entries computed before adoption are
+        folded into the pool.
         """
         if self._placement_ii:
             pool.update(self._placement_ii)
@@ -273,10 +274,10 @@ class KernelInstance:
         """II one block's DFG sustains when spatially mapped on the grid
         (FU sharing + mesh congestion), shared by every execution model so
         that mapping quality does not skew the architecture comparison."""
-        key = (block_id, params.rows, params.cols)
-        if key not in self._placement_ii:
-            from repro.compiler.place import place_block
+        from repro.compiler.place import place_block, placement_key
 
+        key = (block_id,) + placement_key(params)
+        if key not in self._placement_ii:
             placement = place_block(self.cdfg.block(block_id), params)
             self._placement_ii[key] = placement.ii
         return self._placement_ii[key]

@@ -39,6 +39,16 @@ def _nonlinear_capable(grid: Grid, params: ArchParams) -> List[Coord]:
     return coords[len(coords) - params.nonlinear_pes:]
 
 
+def placement_key(params: ArchParams) -> Tuple[int, int, int]:
+    """Every parameter :func:`place_block` reads that can move the II.
+
+    The grid geometry and the nonlinear-capable PE count decide where
+    nodes may land; ``mesh_hop_latency`` moves only ``depth_cycles``,
+    which a per-block II memo does not store.
+    """
+    return (params.rows, params.cols, params.nonlinear_pes)
+
+
 def place_block(
     block: BasicBlock,
     params: ArchParams,

@@ -192,12 +192,13 @@ def _trace_key_of(spec_payload: dict) -> Tuple[str, str, int]:
             int(spec_payload["seed"]))
 
 
-def _batch_key_of(spec_payload: dict) -> tuple:
-    """The grouping-law coordinate of one wire spec (program+geometry).
+def _wire_batch_key(spec_payload: dict) -> tuple:
+    """The grouping coordinate of one wire spec: program + geometry.
 
-    Mirrors :func:`repro.engine.batching.batch_key` on the payload
-    form: ``params`` is the spec's params token (a plain dict), so the
-    grid geometry reads directly off it.
+    Specs that run the same CDFG on the same grid share one placement
+    pool worker-side, so grouped dispatch ships them as one task.
+    ``params`` is the spec's params token (a plain dict), so the grid
+    geometry reads directly off it.
     """
     params = spec_payload.get("params") or {}
     return (str(spec_payload["workload"]), str(spec_payload["scale"]),
@@ -331,13 +332,13 @@ class Coordinator:
                 job.blocked_sims[trace_id].append(task_id)
         else:
             # The grouping law over wire specs: first-occurrence batch
-            # order, members in submit order, sealed at group_size —
-            # the same covering permutation ``group_specs`` produces.
+            # order, members in submit order, sealed at group_size — a
+            # covering permutation of the submitted specs.
             limit = job.group_size
             batches: List[List[int]] = []
             open_batch: Dict[tuple, List[int]] = {}
             for index, spec in enumerate(specs):
-                key = _batch_key_of(spec)
+                key = _wire_batch_key(spec)
                 members = open_batch.get(key)
                 if members is None or (limit is not None
                                        and len(members) >= limit):

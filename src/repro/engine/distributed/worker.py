@@ -319,12 +319,6 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
     lease_batch = max(1, int(lease_batch))
 
     def _make_engine() -> Engine:
-        # A fresh engine starts from a cold schedule-tape memo too —
-        # the memo reset exists to bound a long-lived worker's memory,
-        # and the tape store is the sim layer's equivalent.
-        from repro.sim.batch import default_tape_store
-
-        default_tape_store().clear()
         remote = HTTPBackend(url)
         if cache_dir is not None:
             return Engine(backend=TieredBackend(LocalBackend(cache_dir),
@@ -444,11 +438,9 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
                         })
                     elif "specs" in task:
                         # Batch-granular task: the whole grouped cohort
-                        # executes through one engine.execute call, so
-                        # the grouping law (shared placement pools,
-                        # adjacent batch members) applies worker-side
-                        # exactly as it does locally; the ack carries
-                        # per-spec payloads in cohort order.
+                        # executes through one engine.execute call
+                        # against one shared placement pool; the ack
+                        # carries per-spec payloads in cohort order.
                         from repro.engine.spec import RunSpec
 
                         cohort = [RunSpec.from_payload(payload)

@@ -5,6 +5,7 @@ built from; the invariant tests sweep every model over every workload.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.baselines import (
     VonNeumannModel,
 )
 from repro.baselines.base import KernelInstance
+from repro.compiler.place import place_block
+from repro.errors import PlacementError
 from repro.workloads import ALL_WORKLOADS, INTENSIVE_WORKLOADS, get_workload
 
 
@@ -187,6 +190,29 @@ class TestInvariants:
                 model.simulate(kernel).cycles
                 == model.simulate(kernel).cycles
             )
+
+
+class TestPlacementMemo:
+    def test_memo_answers_like_a_fresh_placement(self):
+        """A block placed with nonlinear PEs must not answer for an
+        array without any: the memo key covers every placement input."""
+        instance = get_workload("sigmoid").instance("tiny")
+        kernel = KernelInstance(instance.cdfg, instance.run().trace)
+        with_pool = ArchParams()
+        without = replace(with_pool, nonlinear_pes=0)
+        for block in kernel.cdfg.blocks:
+            kernel.placement_ii(block.block_id, with_pool)
+        refused = 0
+        for block in kernel.cdfg.blocks:
+            try:
+                fresh = place_block(block, without).ii
+            except PlacementError:
+                refused += 1
+                with pytest.raises(PlacementError):
+                    kernel.placement_ii(block.block_id, without)
+            else:
+                assert kernel.placement_ii(block.block_id, without) == fresh
+        assert refused  # sigmoid's body needs a nonlinear-capable PE
 
 
 class TestPaperShapes:

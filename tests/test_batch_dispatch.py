@@ -1,15 +1,14 @@
 """Batch-granular dispatch: grouped cohorts over the wire.
 
 A coordinator task may carry a whole grouped cohort (``group=True`` on
-submit): the grouping law partitions the job's specs exactly like
-:meth:`Engine.execute` does locally, each group travels as one
-``<job>:gN`` task blocked on *every* trace it needs, workers execute
-the group through one ``engine.execute`` call, and the ack fans the
-per-spec payloads back out under the original indices.  Everything a
+submit): the job's specs are partitioned by program + geometry, each
+group travels as one ``<job>:gN`` task blocked on *every* trace it
+needs, workers execute the group through one ``engine.execute`` call,
+and the ack fans the per-spec payloads back out under the original
+indices.  Everything a
 driver can observe — result payloads, delivery order guarantees,
 exactly-once semantics, journal replay, assembled reports — must be
-byte-identical to ungrouped dispatch and to a local
-``Engine(grouping=False)`` run.
+byte-identical to ungrouped dispatch and to a local ``Engine()`` run.
 """
 
 from __future__ import annotations
@@ -245,9 +244,9 @@ def _fleet(url, count=2):
 class TestBatchDispatchEndToEnd:
     def test_grouped_payloads_match_local_ungrouped_engine(self, server):
         """The acceptance wall: batch-granular dispatched results are
-        byte-identical, spec for spec, to Engine(grouping=False)."""
+        byte-identical, spec for spec, to a local Engine run."""
         specs = _specs()
-        local = Engine(grouping=False)
+        local = Engine()
         reference = [run.result.to_payload()
                      for run in local.execute(specs)]
 
@@ -268,7 +267,7 @@ class TestBatchDispatchEndToEnd:
 
     def test_group_size_one_equals_ungrouped_dispatch(self, server):
         specs = _specs()[:4]
-        local = Engine(grouping=False)
+        local = Engine()
         reference = [run.result.to_payload()
                      for run in local.execute(specs)]
         workers = _fleet(server.url, count=1)
@@ -291,8 +290,8 @@ class TestBatchDispatchEndToEnd:
 
     def test_dispatched_bench_report_is_byte_identical(self, capsys,
                                                        server):
-        """`repro bench --dispatch` groups by default now; the report
-        must stay byte-identical to a local run, grouped or not."""
+        """`repro bench --dispatch` submits grouped tasks; the report
+        must stay byte-identical to a local run."""
         assert main(["bench", "--scale", "tiny",
                      "--format", "json"]) == 0
         local = capsys.readouterr().out
@@ -302,19 +301,9 @@ class TestBatchDispatchEndToEnd:
             assert main(["bench", "--scale", "tiny", "--format", "json",
                          "--dispatch", server.url]) == 0
             grouped = capsys.readouterr()
-            assert main(["bench", "--scale", "tiny", "--format", "json",
-                         "--no-group", "--dispatch", server.url]) == 0
-            ungrouped = capsys.readouterr()
-            assert main(["bench", "--scale", "tiny", "--format", "json",
-                         "--group-size", "2",
-                         "--dispatch", server.url]) == 0
-            sealed = capsys.readouterr()
         finally:
             client.shutdown()
             for worker in workers:
                 worker.join(timeout=30.0)
         assert grouped.out == local
-        assert ungrouped.out == local
-        assert sealed.out == local
-        for captured in (grouped, ungrouped, sealed):
-            assert "warning" not in captured.err
+        assert "warning" not in grouped.err

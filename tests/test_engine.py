@@ -2,7 +2,8 @@
 
 Covers the cache layers (hit/miss accounting, on-disk persistence,
 invalidation on parameter change), serial-vs-parallel result equality,
-deterministic result ordering, and the declarative spec layer.
+deterministic result ordering, placement-pool sharing, and the
+declarative spec layer.
 """
 
 from __future__ import annotations
@@ -35,6 +36,29 @@ def _specs(params: ArchParams = DEFAULT_PARAMS, scale: str = "tiny"):
         for name in ("gemm", "crc")
         for model in (VN, MARIONETTE, MARIONETTE_PE)
     ]
+
+
+def _mixed_geometry_sweep():
+    """Two workloads x two seeds x two models, plus one 8x8 spec."""
+    specs = [
+        RunSpec(name, "tiny", seed, model, DEFAULT_PARAMS)
+        for name in ("gemm", "crc")
+        for seed in (0, 1)
+        for model in (VN, MARIONETTE)
+    ]
+    specs.append(RunSpec("gemm", "tiny", 0, MARIONETTE,
+                         DEFAULT_PARAMS.scaled(8, 8)))
+    return specs
+
+
+def _cache_files(root):
+    """Relative path -> bytes for every record (the run log carries a
+    wall clock and is left out)."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "runs.jsonl"
+    }
 
 
 class TestSpecLayer:
@@ -173,3 +197,36 @@ class TestParallelExecution:
         warm.execute(_specs())
         assert warm.stats.traces_computed == 0
         assert warm.stats.simulations == 0
+
+    def test_parallel_matches_serial_on_a_mixed_geometry_sweep(
+            self, tmp_path):
+        specs = _mixed_geometry_sweep()
+        serial = Engine(cache_dir=tmp_path / "serial")
+        parallel = Engine(cache_dir=tmp_path / "parallel", jobs=2)
+        assert [r.result.to_payload() for r in serial.execute(specs)] == \
+               [r.result.to_payload() for r in parallel.execute(specs)]
+        assert _cache_files(tmp_path / "serial") == \
+               _cache_files(tmp_path / "parallel")
+
+    def test_warm_rerun_is_a_pure_cache_hit(self, tmp_path):
+        specs = _mixed_geometry_sweep()
+        cold = Engine(cache_dir=tmp_path)
+        cold.execute(specs)
+        assert cold.stats.simulations == len(specs)
+        warm = Engine(cache_dir=tmp_path)
+        warm.execute(specs)
+        assert warm.stats.simulations == 0
+        assert warm.stats.sim_cache_hits == len(specs)
+
+
+class TestPlacementPool:
+    def test_seeds_of_one_workload_share_one_placement_pool(self):
+        engine = Engine()
+        engine.execute([RunSpec("gemm", "tiny", 0, VN, DEFAULT_PARAMS)])
+        engine.execute([RunSpec("gemm", "tiny", 1, VN, DEFAULT_PARAMS)])
+        gemm = get_workload("gemm")
+        first, second = (engine.kernel_run(gemm, "tiny", seed).kernel
+                         for seed in (0, 1))
+        assert first is not second
+        assert first._placement_ii is second._placement_ii
+        assert first._placement_ii

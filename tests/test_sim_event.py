@@ -1,4 +1,4 @@
-"""Differential tests: all stepping strategies vs the naive reference.
+"""Differential tests: the event stepper vs the naive reference.
 
 ``ArraySimulator(strategy="event")`` must be *indistinguishable* from
 ``strategy="naive"`` — identical cycle counts, identical
@@ -8,12 +8,6 @@ configuration generator can map, under truncated runs, and under
 randomized timing parameters.  The naive stepper polls every PE every
 cycle, so any event the fast path's scheduler misses shows up here as a
 divergence.
-
-The batch simulator (:func:`repro.sim.batch.simulate_batch`) extends
-the same law to cohorts: every member of a lockstep batch — at sizes
-1, 2, and 8, with per-member data, under truncation, zero-trip loops,
-data-divergent branches (the replay fallback), and randomized timing —
-must be bit-identical to its own standalone naive run.
 """
 
 from __future__ import annotations
@@ -36,11 +30,8 @@ from repro.isa.data import DataInstruction
 from repro.isa.operands import Dest, Operand
 from repro.isa.program import ArrayProgram, TriggerEntry
 from repro.sim.array import ArraySimulator
-from repro.sim.batch import BatchRun, simulate_batch
 
 from test_sim_array import branch_program, vec_mul_program
-
-BATCH_SIZES = (1, 2, 8)
 
 
 # ----------------------------------------------------------------------
@@ -58,34 +49,6 @@ def run_both(params, program, arrays=None, *, halt_messages=999,
             halt_messages=halt_messages, max_cycles=max_cycles
         )
     return results["naive"], results["event"]
-
-
-def run_naive(params, program, arrays=None, *, halt_messages=999,
-              max_cycles=200_000):
-    """One naive simulation (the per-member batch reference)."""
-    sim = ArraySimulator(params, program, strategy="naive")
-    for name, values in (arrays or {}).items():
-        sim.load_array(name, values)
-    return sim.run(halt_messages=halt_messages, max_cycles=max_cycles)
-
-
-def assert_batch_matches_naive(params, program, member_arrays, *,
-                               halt_messages=999, max_cycles=200_000):
-    """Simulate the members as one lockstep batch and check each against
-    its own standalone naive run (the three-way law: naive == event is
-    covered elsewhere, so batch == naive closes the triangle)."""
-    batch = simulate_batch(
-        params, program,
-        [BatchRun(arrays=arrays) for arrays in member_arrays],
-        halt_messages=halt_messages, max_cycles=max_cycles,
-    )
-    assert len(batch) == len(member_arrays)
-    for member, arrays in zip(batch, member_arrays):
-        reference = run_naive(
-            params, program, arrays,
-            halt_messages=halt_messages, max_cycles=max_cycles,
-        )
-        assert_identical(reference, member)
 
 
 def assert_identical(naive, event):
@@ -302,20 +265,11 @@ def _compiled(name, n, rng, params):
     return cdfg, inputs, program
 
 
-def _member_inputs(name, n, rng, count):
-    """``count`` independently drawn input sets for one workload kernel
-    (the program is data-independent, so one compile serves them all)."""
-    maker = WORKLOAD_KERNELS[name]
-    return [maker(n, rng)[1] for _ in range(count)]
-
-
 def data_branch_program(params, n):
     """loop -> load A[i] -> LT-branch on A[i] steering PE3 -> store.
 
-    The branch outcome depends on the *data*, so batch members with
-    different ``A`` images take different control schedules — the
-    lockstep replay must detect the divergence and fall back to exact
-    per-member simulation."""
+    The branch outcome depends on the *data*, so the control schedule
+    differs with every ``A`` image."""
     program = ArrayProgram(params.n_pes)
     program.declare_array(0, "A", 0, n)
     program.declare_array(1, "OUT", n, n)
@@ -440,77 +394,13 @@ class TestHandwrittenProgramEquivalence:
         assert not naive.halted
         assert_identical(naive, event)
 
-
-class TestBatchLockstepEquivalence:
-    """batch == naive on every member (naive == event is proved above,
-    so these close the three-way ``naive == event == batch`` matrix)."""
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    @pytest.mark.parametrize("name", sorted(WORKLOAD_KERNELS))
-    def test_workload_matrix(self, params, name, batch_size):
-        n = 9 if batch_size == 8 else 17
-        rng = np.random.default_rng(11)
-        _cdfg, _inputs, program = _compiled(name, n, rng, params)
-        members = _member_inputs(name, n, rng, batch_size)
-        assert_batch_matches_naive(params, program, members)
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    @pytest.mark.parametrize("max_cycles", [1, 2, 13, 37, 64])
-    def test_truncated_runs(self, params, max_cycles, batch_size):
-        """max-cycles truncation must stop every member at exactly the
-        same state the standalone steppers stop at."""
-        n = 12
-        program = vec_mul_program(params, n)
-        members = [
-            {"A": np.arange(1, n + 1) + member,
-             "B": np.arange(2, n + 2)}
-            for member in range(batch_size)
-        ]
-        assert_batch_matches_naive(
-            params, program, members, max_cycles=max_cycles
-        )
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_zero_trip_loop(self, params, batch_size):
-        _cdfg, _inputs, program = _compiled(
-            "conv1d", 0, np.random.default_rng(0), params
-        )
-        assert_batch_matches_naive(
-            params, program, [{} for _ in range(batch_size)]
-        )
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_halt_on_first_message(self, params, batch_size):
-        n = 6
-        program = vec_mul_program(params, n)
-        members = [
-            {"A": np.ones(n) * (member + 1), "B": np.ones(n)}
-            for member in range(batch_size)
-        ]
-        assert_batch_matches_naive(
-            params, program, members, halt_messages=1
-        )
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_divergent_branches_fall_back_exactly(self, params,
-                                                  batch_size):
-        """Members whose data steers different branch arms leave the
-        lockstep schedule — the replay must detect it and re-simulate
-        those members with the exact event stepper."""
+    def test_data_dependent_branches(self, params):
+        """Branch arms chosen by loaded data, not by the loop counter."""
         n = 24
         program = data_branch_program(params, n)
-        rng = np.random.default_rng(7)
-        members = [
-            {"A": rng.integers(0, 50, n)} for _ in range(batch_size)
-        ]
-        assert_batch_matches_naive(params, program, members)
-
-    def test_fifo_pressure(self, params):
-        tight = replace(params, control_fifo_depth=1)
-        rng = np.random.default_rng(3)
-        _cdfg, _inputs, program = _compiled("gemm", 10, rng, tight)
-        members = _member_inputs("gemm", 10, rng, 4)
-        assert_batch_matches_naive(tight, program, members)
+        arrays = {"A": np.random.default_rng(7).integers(0, 50, n)}
+        naive, event = run_both(params, program, arrays)
+        assert_identical(naive, event)
 
 
 class TestRandomizedParameterEquivalence:
@@ -548,45 +438,6 @@ class TestRandomizedParameterEquivalence:
                 halt_messages=halt, max_cycles=max_cycles,
             )
             assert_identical(naive, event)
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_batch_latency_sweep_never_diverges(self, batch_size):
-        """The same 25-trial property under lockstep batching: random
-        timing parameters, program shapes, truncation points, and
-        per-member data — every member must match its naive run."""
-        rng = random.Random(0xB7 + batch_size)
-        data_rng = np.random.default_rng(13)
-        for _trial in range(25):
-            trial_params = ArchParams(
-                t_config=rng.randint(1, 4),
-                t_execute=rng.randint(1, 5),
-                data_net_latency=rng.randint(1, 12),
-                ctrl_net_latency=rng.randint(1, 3),
-                control_fifo_depth=rng.randint(1, 8),
-            )
-            n = rng.randint(1, 12)
-            halt = rng.choice([1, 999])
-            max_cycles = rng.choice([29, 61, 200_000])
-            kind = rng.choice(["vec_mul", "branch", "gemm", "ms"])
-            if kind == "vec_mul":
-                program = vec_mul_program(trial_params, n)
-                members = [
-                    {"A": np.arange(1, n + 1) + member,
-                     "B": np.arange(2, n + 2)}
-                    for member in range(batch_size)
-                ]
-            elif kind == "branch":
-                program = branch_program(trial_params, n)
-                members = [{} for _ in range(batch_size)]
-            else:
-                _cdfg, _arrays, program = _compiled(
-                    kind, n, data_rng, trial_params
-                )
-                members = _member_inputs(kind, n, data_rng, batch_size)
-            assert_batch_matches_naive(
-                trial_params, program, members,
-                halt_messages=halt, max_cycles=max_cycles,
-            )
 
 
 class TestEventStrategySurface:
