@@ -150,21 +150,34 @@ def test_dispatch_lane_survives_a_server_restart(scale, tmp_path):
     probe.close()
     url = f"http://127.0.0.1:{port}"
 
-    def wait_healthy():
+    def start_serve() -> subprocess.Popen:
+        """Spawn the durable serve and wait until it answers /health.
+
+        The probed port is free between the probe and the serve's bind
+        (and again across the kill), so a short-lived client socket may
+        hold it for a moment; a serve that exits before answering is
+        started again on the same port until the deadline.
+        """
         deadline = time.monotonic() + 30.0
+        process = _spawn_durable_serve(port, tmp_path)
         while True:
             try:
-                return HTTPBackend(url).health()
+                HTTPBackend(url).health()
+                return process
             except DistributedError:
                 if time.monotonic() >= deadline:
+                    process.kill()
+                    process.wait(timeout=30)
                     raise
+                if process.poll() is not None:
+                    process = _spawn_durable_serve(port, tmp_path)
                 time.sleep(0.05)
 
-    server = _spawn_durable_serve(port, tmp_path)
+    server = None
     worker = None
     client = CoordinatorClient(url)
     try:
-        wait_healthy()
+        server = start_serve()
         worker = _spawn_worker(url)
         restarted = False
         start = time.perf_counter()
@@ -178,8 +191,8 @@ def test_dispatch_lane_survives_a_server_restart(scale, tmp_path):
                 restarted = True
                 server.kill()
                 server.wait(timeout=30)
-                server = _spawn_durable_serve(port, tmp_path)
-                wait_healthy()
+                server = None
+                server = start_serve()
         elapsed = time.perf_counter() - start
         assert sorted(index for index, _payload in landed) \
             == list(range(len(specs)))
@@ -200,5 +213,6 @@ def test_dispatch_lane_survives_a_server_restart(scale, tmp_path):
             client.shutdown()
         if worker is not None:
             worker.wait(timeout=60)
-        server.kill()
-        server.wait(timeout=30)
+        if server is not None:
+            server.kill()
+            server.wait(timeout=30)

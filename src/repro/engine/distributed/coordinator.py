@@ -205,6 +205,27 @@ def _wire_batch_key(spec_payload: dict) -> tuple:
             params.get("rows"), params.get("cols"))
 
 
+def _group_wire_specs(specs: List[dict],
+                      limit: Optional[int] = None) -> List[List[int]]:
+    """The grouping law over wire specs, as lists of spec indices.
+
+    Batches come in first-occurrence order, members in submit order,
+    and a batch is sealed once it holds ``limit`` members — a covering
+    permutation of the submitted specs.
+    """
+    batches: List[List[int]] = []
+    open_batch: Dict[tuple, List[int]] = {}
+    for index, spec in enumerate(specs):
+        key = _wire_batch_key(spec)
+        members = open_batch.get(key)
+        if members is None or (limit is not None
+                               and len(members) >= limit):
+            members = open_batch[key] = []
+            batches.append(members)
+        members.append(index)
+    return batches
+
+
 #: Lease scheduling policies across queued jobs.
 SCHEDULES = ("fifo", "fair")
 
@@ -331,20 +352,7 @@ class Coordinator:
                 )
                 job.blocked_sims[trace_id].append(task_id)
         else:
-            # The grouping law over wire specs: first-occurrence batch
-            # order, members in submit order, sealed at group_size — a
-            # covering permutation of the submitted specs.
-            limit = job.group_size
-            batches: List[List[int]] = []
-            open_batch: Dict[tuple, List[int]] = {}
-            for index, spec in enumerate(specs):
-                key = _wire_batch_key(spec)
-                members = open_batch.get(key)
-                if members is None or (limit is not None
-                                       and len(members) >= limit):
-                    members = open_batch[key] = []
-                    batches.append(members)
-                members.append(index)
+            batches = _group_wire_specs(specs, job.group_size)
             for number, indices in enumerate(batches):
                 task_id = f"{job.id}:g{number}"
                 needed = {trace_ids[_trace_key_of(specs[i])]

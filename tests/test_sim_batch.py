@@ -1,40 +1,29 @@
-"""The batch simulator's grouping law and engine integration.
+"""The grouping law of batch-granular dispatch.
 
-Two families of guarantees:
+``Coordinator.submit(group=True)`` ships simulation specs to workers in
+batches: specs share a batch exactly when they run the same program on
+the same geometry, because such specs share one placement pool
+worker-side.  Seeds, latency parameters, and models may differ inside a
+batch; workload, scale, rows, or cols differences split it.  Grouping
+is a deterministic permutation: every spec lands in exactly one batch,
+batches in first-member order, members in input order.
 
-* **the grouping law** (:mod:`repro.engine.batching`) — specs batch
-  exactly when they run the same program on the same geometry: seeds,
-  latency parameters, and models may differ inside a batch; workload,
-  scale, rows, or cols differences split it.  Grouping is a
-  deterministic permutation: every spec lands in exactly one batch,
-  batches in first-member order, members in input order;
-* **observational identity** — grouped execution is invisible in every
-  output: per-spec results, :class:`EngineStats`, ``runs.jsonl``
-  records, and the fingerprint-addressed cache records are all
-  byte-identical to ungrouped execution (``Engine(grouping=False)``
-  exists solely so this suite can hold the two side by side).
-
-Cohort mechanics of :func:`repro.sim.batch.simulate_batch` (per-member
-parameters split cohorts; the default parameter set is inherited) and
-the degenerate ``ArraySimulator(strategy="batch")`` surface are locked
-here too; per-member bit-identity lives in ``tests/test_sim_event.py``.
+End-to-end grouped dispatch (leases, journal replay, byte identity with
+a local engine) lives in ``tests/test_batch_dispatch.py``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.engine import Engine, batch_key, group_specs
+from repro.engine.distributed.coordinator import (
+    _group_wire_specs,
+    _wire_batch_key,
+)
 from repro.engine.spec import ModelSpec, RunSpec
-from repro.sim.array import ArraySimulator
-from repro.sim.batch import BatchRun, simulate_batch
-
-from test_sim_array import vec_mul_program
 
 MARIONETTE = ModelSpec.make("marionette")
 VON_NEUMANN = ModelSpec.make("von_neumann")
@@ -46,14 +35,15 @@ def spec(workload="gemm", scale="tiny", seed=0, model=MARIONETTE,
                    model=model, params=params or ArchParams())
 
 
-# ----------------------------------------------------------------------
-# The grouping law
-# ----------------------------------------------------------------------
+def group(specs):
+    return _group_wire_specs([s.to_payload() for s in specs])
+
+
 class TestGroupingLaw:
     def test_key_is_program_plus_geometry(self):
         base = spec()
-        assert batch_key(base) == ("gemm", "tiny",
-                                   base.params.rows, base.params.cols)
+        assert _wire_batch_key(base.to_payload()) == (
+            "gemm", "tiny", base.params.rows, base.params.cols)
 
     def test_seeds_models_and_latencies_share_a_batch(self):
         """Everything that does not move the program or the grid may
@@ -65,10 +55,7 @@ class TestGroupingLaw:
             spec(model=VON_NEUMANN),
             spec(params=slow),
         ]
-        batches = group_specs(specs)
-        assert len(batches) == 1
-        assert batches[0].specs == specs
-        assert batches[0].indices == [0, 1, 2, 3]
+        assert group(specs) == [[0, 1, 2, 3]]
 
     @pytest.mark.parametrize("other", [
         spec(workload="crc"),
@@ -77,9 +64,7 @@ class TestGroupingLaw:
         spec(params=ArchParams().scaled(4, 16)),
     ])
     def test_program_or_geometry_differences_split(self, other):
-        batches = group_specs([spec(), other])
-        assert len(batches) == 2
-        assert [len(batch) for batch in batches] == [1, 1]
+        assert group([spec(), other]) == [[0], [1]]
 
     def test_mixed_arch_sweep_splits_at_geometry_boundaries(self):
         """An arch sweep interleaving two geometries yields exactly two
@@ -88,173 +73,20 @@ class TestGroupingLaw:
         large = ArchParams().scaled(8, 8)
         specs = [spec(seed=s, params=p)
                  for s in range(3) for p in (small, large)]
-        batches = group_specs(specs)
-        assert len(batches) == 2
-        assert batches[0].indices == [0, 2, 4]
-        assert batches[1].indices == [1, 3, 5]
-        assert all(batch_key(member) == batch.key
-                   for batch in batches for member in batch.specs)
+        batches = group(specs)
+        assert batches == [[0, 2, 4], [1, 3, 5]]
+        for batch in batches:
+            keys = {_wire_batch_key(specs[i].to_payload()) for i in batch}
+            assert len(keys) == 1
 
     def test_grouping_is_a_covering_permutation(self):
         specs = [spec(workload=w, seed=s)
                  for w in ("gemm", "crc", "fft") for s in range(2)]
-        batches = group_specs(specs)
-        flattened = sorted(i for b in batches for i in b.indices)
+        batches = group(specs)
+        flattened = sorted(i for batch in batches for i in batch)
         assert flattened == list(range(len(specs)))
         for batch in batches:
-            assert [specs[i] for i in batch.indices] == batch.specs
+            assert batch == sorted(batch)
 
     def test_empty_input(self):
-        assert group_specs([]) == []
-
-
-# ----------------------------------------------------------------------
-# Cohort mechanics of simulate_batch
-# ----------------------------------------------------------------------
-class TestCohorts:
-    def _naive(self, params, program, arrays):
-        sim = ArraySimulator(params, program, strategy="naive")
-        for name, values in arrays.items():
-            sim.load_array(name, values)
-        return sim.run(halt_messages=999)
-
-    def test_per_member_params_split_cohorts(self, params):
-        """Members carrying their own (same-geometry) parameters form
-        separate cohorts and still match their standalone runs."""
-        n = 8
-        program = vec_mul_program(params, n)
-        slow = replace(params, data_net_latency=7)
-        arrays = {"A": np.arange(1, n + 1), "B": np.arange(2, n + 2)}
-        results = simulate_batch(params, program, [
-            BatchRun(arrays=arrays),
-            BatchRun(arrays=arrays, params=slow),
-            BatchRun(arrays=arrays),
-        ], halt_messages=999)
-        fast_ref = self._naive(params, program, arrays)
-        slow_ref = self._naive(slow, program, arrays)
-        assert results[0].cycles == fast_ref.cycles
-        assert results[2].cycles == fast_ref.cycles
-        assert results[1].cycles == slow_ref.cycles
-        assert results[1].cycles > results[0].cycles
-        assert results[0].stats == fast_ref.stats
-        assert results[1].stats == slow_ref.stats
-
-    def test_default_params_are_inherited(self, params):
-        n = 4
-        program = vec_mul_program(params, n)
-        arrays = {"A": np.ones(n), "B": np.ones(n)}
-        explicit, inherited = simulate_batch(params, program, [
-            BatchRun(arrays=arrays, params=params),
-            BatchRun(arrays=arrays),
-        ], halt_messages=999)
-        assert explicit.cycles == inherited.cycles
-        assert explicit.stats == inherited.stats
-        assert explicit.scratchpad.data == inherited.scratchpad.data
-
-    def test_single_run_batch_strategy_degenerates_to_event(self, params):
-        """``ArraySimulator(strategy="batch")`` on one run is the event
-        schedule by definition — identical in every observable."""
-        n = 6
-        arrays = {"A": np.arange(1, n + 1), "B": np.arange(2, n + 2)}
-        results = {}
-        for strategy in ("event", "batch"):
-            sim = ArraySimulator(params, vec_mul_program(params, n),
-                                 strategy=strategy)
-            for name, values in arrays.items():
-                sim.load_array(name, values)
-            results[strategy] = sim.run(halt_messages=999)
-        event, batch = results["event"], results["batch"]
-        assert batch.cycles == event.cycles
-        assert batch.stats == event.stats
-        assert batch.scratchpad.data == event.scratchpad.data
-
-    def test_empty_batch(self, params):
-        assert simulate_batch(
-            params, vec_mul_program(params, 2), []
-        ) == []
-
-
-# ----------------------------------------------------------------------
-# Observational identity: grouped == ungrouped, everywhere
-# ----------------------------------------------------------------------
-def sweep_specs():
-    """A sweep that exercises grouping: two workloads, two seeds, two
-    models, plus one odd-geometry spec that must split off."""
-    specs = [
-        spec(workload=w, seed=s, model=m)
-        for w in ("gemm", "crc")
-        for s in (0, 1)
-        for m in (MARIONETTE, VON_NEUMANN)
-    ]
-    specs.append(spec(params=ArchParams().scaled(8, 8)))
-    return specs
-
-
-def _cache_files(root):
-    """Relative path -> bytes for every record (the run log has a wall
-    clock in it and is compared structurally instead)."""
-    return {
-        path.relative_to(root): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file() and path.name != "runs.jsonl"
-    }
-
-
-def _run_records(root):
-    records = []
-    for line in (root / "runs.jsonl").read_text().splitlines():
-        record = json.loads(line)
-        record.pop("time", None)
-        records.append(record)
-    return records
-
-
-class TestGroupedExecutionIsInvisible:
-    def test_results_stats_records_and_cache_are_identical(self, tmp_path):
-        specs = sweep_specs()
-        grouped = Engine(cache_dir=tmp_path / "grouped")
-        ungrouped = Engine(cache_dir=tmp_path / "ungrouped",
-                           grouping=False)
-        assert grouped.grouping and not ungrouped.grouping
-
-        grouped_results = grouped.execute(specs)
-        ungrouped_results = ungrouped.execute(specs)
-
-        # Per-spec results: same order, same payload bytes.
-        assert [r.spec for r in grouped_results] == specs
-        assert [r.result.to_payload() for r in grouped_results] == \
-            [r.result.to_payload() for r in ungrouped_results]
-
-        # Engine accounting is unchanged (grouping reorders work, it
-        # does not create or skip any).
-        assert grouped.stats.as_dict() == ungrouped.stats.as_dict()
-
-        # runs.jsonl records match modulo the wall clock.
-        grouped.record_run(command="test", scale="tiny", seed=0)
-        ungrouped.record_run(command="test", scale="tiny", seed=0)
-        assert _run_records(tmp_path / "grouped") == \
-            _run_records(tmp_path / "ungrouped")
-
-        # The fingerprint-addressed records are byte-identical: same
-        # file set, same bytes.
-        assert _cache_files(tmp_path / "grouped") == \
-            _cache_files(tmp_path / "ungrouped")
-
-    def test_parallel_grouped_matches_serial_ungrouped(self, tmp_path):
-        specs = sweep_specs()
-        serial = Engine(cache_dir=tmp_path / "serial", grouping=False)
-        parallel = Engine(cache_dir=tmp_path / "parallel", jobs=2)
-        assert [r.result.to_payload() for r in serial.execute(specs)] == \
-            [r.result.to_payload() for r in parallel.execute(specs)]
-        assert _cache_files(tmp_path / "serial") == \
-            _cache_files(tmp_path / "parallel")
-
-    def test_grouped_warm_cache_is_a_pure_hit(self, tmp_path):
-        specs = sweep_specs()
-        cold = Engine(cache_dir=tmp_path / "cache")
-        cold.execute(specs)
-        assert cold.stats.simulations == len(specs)
-        warm = Engine(cache_dir=tmp_path / "cache")
-        warm.execute(specs)
-        assert warm.stats.simulations == 0
-        assert warm.stats.sim_cache_hits == len(specs)
+        assert group([]) == []
