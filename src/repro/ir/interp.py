@@ -205,7 +205,9 @@ class Interpreter:
             memory: array name -> 1-D numpy array; copied before execution.
             params: runtime scalar parameters (must cover ``cdfg.params``).
             max_steps: block-execution budget (guards non-termination).
-            collect_trace: record the dynamic BB trace (small overhead).
+            collect_trace: record per-block execution and per-edge
+                transition counts (small overhead); when false both
+                stay empty.
 
         Returns:
             :class:`ExecutionResult` with final memory, environment, trace.
@@ -263,7 +265,6 @@ class Interpreter:
                 bid = term.if_true if cond else term.if_false
             else:
                 bid = None
-        trace.finish()
         return ExecutionResult(mem, env, trace, steps)
 
     # ------------------------------------------------------------------

@@ -10,7 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import InterpreterError
 from repro.ir.builder import KernelBuilder
+from repro.ir.cfg import Halt
 from repro.ir.interp import Interpreter
+
+from test_ir_trace import assert_count_laws
+
+
+def _entry_and_exit(cdfg):
+    """The block every run starts in and the one it halts in."""
+    (halt,) = [b.block_id for b in cdfg.blocks
+               if isinstance(b.terminator, Halt)]
+    return cdfg.entry, halt
 
 
 class TestBasics:
@@ -66,7 +76,7 @@ class TestTrace:
     def test_trace_counts_match(self, imperfect_kernel, spmv_inputs):
         memory, params, expected = spmv_inputs
         result = Interpreter(imperfect_kernel).run(memory, params)
-        result.trace.validate()
+        assert_count_laws(result.trace, *_entry_and_exit(imperfect_kernel))
         assert np.array_equal(result.array("out"), expected)
         # Outer loop body executes once per row.
         bodies = [
@@ -80,7 +90,8 @@ class TestTrace:
             {"x": np.zeros(2), "y": np.zeros(2)}, {"n": 2},
             collect_trace=False,
         )
-        assert result.trace.runs == []
+        assert result.trace.exec_counts == {}
+        assert result.trace.edge_counts == {}
 
     def test_edge_counts_sum_to_transitions(self, branchy_kernel):
         result = Interpreter(branchy_kernel).run(
@@ -88,7 +99,8 @@ class TestTrace:
              "o": np.zeros(8)}, {"n": 8},
         )
         trace = result.trace
-        assert sum(trace.edge_counts.values()) == trace.transitions()
+        assert sum(trace.edge_counts.values()) == result.steps - 1
+        assert_count_laws(trace, *_entry_and_exit(branchy_kernel))
 
 
 @st.composite
@@ -140,4 +152,6 @@ class TestEngineEquivalence:
         walking = Interpreter(cdfg, engine="walking").run(memory, params)
         assert np.array_equal(compiled.array("o"), walking.array("o"))
         assert compiled.trace.exec_counts == walking.trace.exec_counts
+        assert compiled.trace.edge_counts == walking.trace.edge_counts
+        assert_count_laws(compiled.trace, *_entry_and_exit(cdfg))
         assert compiled.env == walking.env
