@@ -33,23 +33,35 @@ SEED = 0
 SRC_DIR = str(Path(repro.__file__).parents[1])
 
 
-def _spawn_worker(url: str) -> subprocess.Popen:
+def _spawn_logged(argv, log: Path) -> subprocess.Popen:
+    """Start ``python -m repro <argv>`` with stdout and stderr appended
+    to ``log``, so a failing lane keeps the fleet's own account."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", "--connect", url,
-         "--poll", "0.05", "--max-idle", "300", "--lease-batch", "2"],
-        env=env, stderr=subprocess.DEVNULL,
+    env["PYTHONUNBUFFERED"] = "1"
+    with open(log, "ab") as handle:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, stdout=handle, stderr=subprocess.STDOUT,
+        )
+
+
+def _spawn_worker(url: str, log: Path) -> subprocess.Popen:
+    return _spawn_logged(
+        ["worker", "--connect", url, "--poll", "0.05",
+         "--max-idle", "300", "--lease-batch", "2"], log,
     )
 
 
-def _fleet_run(specs, n_workers: int):
+def _fleet_run(specs, n_workers: int, log_dir: Path):
     """One cold dispatched run: elapsed seconds, tables, fleet stats."""
     server = DistributedServer(MemoryBackend(), Coordinator()).start()
     client = CoordinatorClient(server.url)
-    workers = [_spawn_worker(server.url) for _ in range(n_workers)]
+    workers = [_spawn_worker(server.url,
+                             log_dir / f"worker-{n_workers}-{n}.log")
+               for n in range(n_workers)]
     try:
         start = time.perf_counter()
         landed = list(dispatch_job(
@@ -73,15 +85,15 @@ def _fleet_run(specs, n_workers: int):
     return elapsed, results, stats
 
 
-def test_dispatch_lane_matches_golden_and_scales(scale):
+def test_dispatch_lane_matches_golden_and_scales(scale, tmp_path):
     specs = ablations.specs(scale, SEED)
     golden = [
         result_payload(result)
         for result in ablations.run(scale, SEED, engine=Engine(jobs=2))
     ]
 
-    one_worker, results_one, stats_one = _fleet_run(specs, 1)
-    two_workers, results_two, stats_two = _fleet_run(specs, 2)
+    one_worker, results_one, stats_one = _fleet_run(specs, 1, tmp_path)
+    two_workers, results_two, stats_two = _fleet_run(specs, 2, tmp_path)
 
     # Byte-identical to the unsharded golden run, for both fleet sizes.
     for results in (results_one, results_two):
@@ -113,16 +125,31 @@ def test_dispatch_lane_matches_golden_and_scales(scale):
 
 
 def _spawn_durable_serve(port: int, state_dir: Path) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", str(port),
+    return _spawn_logged(
+        ["serve", "--port", str(port),
          "--state-dir", str(state_dir / "queue"),
          "--cache-dir", str(state_dir / "cache")],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        state_dir / "serve.log",
     )
+
+
+def _fleet_evidence(state_dir: Path, **processes) -> str:
+    """The last lines of every fleet log, each process's exit status,
+    and the journal directory listing — what a stalled lane leaves."""
+    parts = [f"{name}: " + ("not running" if process is None
+                            else "running" if process.poll() is None
+                            else f"exited {process.returncode}")
+             for name, process in processes.items()]
+    for log in sorted(state_dir.glob("*.log")):
+        tail = log.read_text(encoding="utf-8",
+                             errors="replace").splitlines()[-40:]
+        parts.append(f"--- last {len(tail)} lines of {log.name} ---")
+        parts.extend(tail)
+    parts.append("--- state dir ---")
+    parts.extend(f"{path.relative_to(state_dir)} {path.stat().st_size} B"
+                 for path in sorted((state_dir / "queue").rglob("*"))
+                 if path.is_file())
+    return "\n".join(parts)
 
 
 def test_dispatch_lane_survives_a_server_restart(scale, tmp_path):
@@ -178,7 +205,7 @@ def test_dispatch_lane_survives_a_server_restart(scale, tmp_path):
     client = CoordinatorClient(url)
     try:
         server = start_serve()
-        worker = _spawn_worker(url)
+        worker = _spawn_worker(url, tmp_path / "worker.log")
         restarted = False
         start = time.perf_counter()
         landed = []
@@ -206,6 +233,9 @@ def test_dispatch_lane_survives_a_server_restart(scale, tmp_path):
             == json.dumps(golden, sort_keys=True)
         print(f"restart-mid-dispatch lane: {len(specs)} specs across "
               f"one SIGKILL + journal replay in {elapsed:.2f}s")
+    except Exception as error:
+        evidence = _fleet_evidence(tmp_path, serve=server, worker=worker)
+        raise AssertionError(f"{error}\n{evidence}") from error
     finally:
         import contextlib
 

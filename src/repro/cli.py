@@ -569,12 +569,9 @@ def _run_dispatch(args, progress, params=DEFAULT_PARAMS,
 
     def landed():
         done = 0
-        # One sim task per program + geometry group: its members share
-        # a worker's placement pool, and it measured faster than
-        # per-spec tasks, batched leases included.
         for index, payload in dispatch_job(
                 client, [spec.to_payload() for spec in specs],
-                scale=args.scale, seed=args.seed, group=True):
+                scale=args.scale, seed=args.seed):
             if not 0 <= index < len(specs):
                 raise DistributedError(
                     f"coordinator returned result index {index} outside "
@@ -677,16 +674,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         if kind == "trace":
             detail = (f"trace {task['workload']}@{task['scale']} "
                       f"seed={task['seed']}")
-        elif "specs" in task:
+        else:
             lead = task["specs"][0]
             detail = (f"sim batch x{len(task['specs'])} "
                       f"{lead['workload']}@{lead['scale']}")
-        else:
-            spec = task["spec"]
-            model = spec["model"]
-            label = model.get("label") or model.get("model")
-            detail = (f"sim {spec['workload']}@{spec['scale']} "
-                      f"seed={spec['seed']} {label}")
         print(f"[{worker}] {detail}", file=sys.stderr)
 
     try:

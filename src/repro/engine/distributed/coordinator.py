@@ -28,11 +28,13 @@ One dispatched job is a spec batch plus its derived task graph:
   expensive functional simulations, each performed exactly once across
   the whole fleet (the content-addressed cache key would make duplicate
   computation harmless, but not free);
-* one **sim task** per spec index, *blocked* until its trace task is
-  acknowledged — so a worker leasing a sim task can rely on the trace
-  being resident in the shared cache backend.
+* one **sim task** per program + geometry cohort (the grouping law,
+  :func:`_group_wire_specs`), *blocked* until every trace task it
+  replays is acknowledged — so a worker leasing a sim task can rely on
+  its traces being resident in the shared cache backend, and the
+  cohort's members share one placement pool worker-side.
 
-Task ids are globally unique (``<job id>:t3`` / ``<job id>:s17``), so
+Task ids are globally unique (``<job id>:t3`` / ``<job id>:g2``), so
 an ack or renew names its job implicitly and two jobs' tasks can never
 be confused, whatever the interleaving.
 
@@ -106,11 +108,12 @@ DEFAULT_LEASE_TIMEOUT = 60.0
 FINISHED_JOB_RETENTION = 32
 
 #: Version of the queue wire protocol (job-scoped results, batched
-#: leases, batch-granular sim tasks).  Checked alongside
-#: ``ENGINE_VERSION`` at ``/health`` and ``/queue/job`` time so a mixed
-#: fleet of old and new builds fails loudly instead of livelocking on a
-#: wire-format mismatch.
-PROTOCOL_VERSION = 3
+#: leases, cohort sim tasks only).  Checked alongside ``ENGINE_VERSION``
+#: at ``/health`` and ``/queue/job`` time so a mixed fleet of old and
+#: new builds fails loudly instead of livelocking on a wire-format
+#: mismatch; the journal stamps it too, so a state dir written by
+#: another protocol (whose task ids would not match) refuses to replay.
+PROTOCOL_VERSION = 4
 
 
 def _new_stats() -> Dict[str, int]:
@@ -126,13 +129,10 @@ def _new_stats() -> Dict[str, int]:
 class _Task:
     """One unit of leasable work (a trace computation or a sim).
 
-    A sim task carries either one spec (``index`` set, the historical
-    ungrouped shape, task id ``<job>:sN``) or a whole grouped cohort
-    (``indices`` set, task id ``<job>:gN`` — the batch-granular wire
-    form).  A grouped task may replay several traces, so readiness is
-    tracked by the ``waiting_on`` set instead of a single trace id; an
-    ungrouped task's set is the singleton of its trace, preserving the
-    historical ready order exactly.
+    A sim task (id ``<job>:gN``) carries one grouping-law cohort: the
+    spec positions in ``indices`` and their payloads.  A cohort may
+    replay several traces, so it is ready once its ``waiting_on`` set
+    of unfinished trace ids is empty.
     """
 
     id: str
@@ -142,8 +142,7 @@ class _Task:
     lease: Optional[str] = None
     worker: Optional[str] = None
     deadline: float = 0.0
-    index: Optional[int] = None     # ungrouped sims: spec-batch position
-    indices: Optional[List[int]] = None  # grouped sims: member positions
+    indices: List[int] = field(default_factory=list)  # sim members
     waiting_on: set = field(default_factory=set)  # unfinished trace ids
 
 
@@ -165,16 +164,11 @@ class _Job:
     # Ids of currently-leased tasks: lease/requeue/status work touches
     # only live leases, not every task of every retained job.
     leased: set = field(default_factory=set)
-    # Batch-granular dispatch: whether sim tasks carry grouped cohorts,
-    # and the submitted spec payloads + settled sim acks — the snapshot
-    # sources (a grouped task's payload is not one spec, so the
-    # journal snapshot cannot reconstruct the submit from task
-    # payloads the way the ungrouped layout allowed).
-    group: bool = False
-    group_size: Optional[int] = None
+    # The submitted spec payloads and settled sim acks: the journal
+    # snapshot's sources (a cohort task's payload is not one spec, so
+    # the submit cannot be rebuilt from task payloads).
     spec_payloads: List[dict] = field(default_factory=list)
-    sim_done: List[Tuple[str, Optional[dict]]] = field(
-        default_factory=list)
+    sim_done: List[Tuple[str, dict]] = field(default_factory=list)
 
     @property
     def done(self) -> bool:
@@ -186,6 +180,24 @@ class _Job:
         task.worker = None
         self.leased.discard(task.id)
 
+    def fail(self, message: str) -> None:
+        """Mark the job failed: clear its queues and release *every*
+        lease it still holds, not just the erroring one.
+
+        A crashed co-worker's lease on a dead job would otherwise never
+        expire (the expiry scan skips finished jobs), leaving a phantom
+        "leased" count that defeats the dispatch stall diagnostic and
+        stalls the shutdown drain for its full grace window.  In-flight
+        acks from those workers become stale — the job is dead, so
+        discarding them is the correct side of exactly-once.
+        """
+        self.failed = message
+        self.trace_queue.clear()
+        self.ready_sims.clear()
+        self.blocked_sims.clear()
+        for leased_id in list(self.leased):
+            self.release_lease(self.tasks[leased_id])
+
 
 def _trace_key_of(spec_payload: dict) -> Tuple[str, str, int]:
     return (str(spec_payload["workload"]), str(spec_payload["scale"]),
@@ -196,7 +208,7 @@ def _wire_batch_key(spec_payload: dict) -> tuple:
     """The grouping coordinate of one wire spec: program + geometry.
 
     Specs that run the same CDFG on the same grid share one placement
-    pool worker-side, so grouped dispatch ships them as one task.
+    pool worker-side, so dispatch ships them as one task.
     ``params`` is the spec's params token (a plain dict), so the grid
     geometry reads directly off it.
     """
@@ -205,25 +217,16 @@ def _wire_batch_key(spec_payload: dict) -> tuple:
             params.get("rows"), params.get("cols"))
 
 
-def _group_wire_specs(specs: List[dict],
-                      limit: Optional[int] = None) -> List[List[int]]:
+def _group_wire_specs(specs: List[dict]) -> List[List[int]]:
     """The grouping law over wire specs, as lists of spec indices.
 
-    Batches come in first-occurrence order, members in submit order,
-    and a batch is sealed once it holds ``limit`` members — a covering
-    permutation of the submitted specs.
+    Batches come in first-occurrence order, members in submit order —
+    a covering permutation of the submitted specs.
     """
-    batches: List[List[int]] = []
-    open_batch: Dict[tuple, List[int]] = {}
+    batches: Dict[tuple, List[int]] = {}
     for index, spec in enumerate(specs):
-        key = _wire_batch_key(spec)
-        members = open_batch.get(key)
-        if members is None or (limit is not None
-                               and len(members) >= limit):
-            members = open_batch[key] = []
-            batches.append(members)
-        members.append(index)
-    return batches
+        batches.setdefault(_wire_batch_key(spec), []).append(index)
+    return list(batches.values())
 
 
 #: Lease scheduling policies across queued jobs.
@@ -297,24 +300,19 @@ class Coordinator:
 
     # -- job lifecycle -------------------------------------------------
     def _build_job(self, job_id: str, specs: List[dict], scale: str,
-                   seed: int, group: bool = False,
-                   group_size: Optional[int] = None) -> _Job:
+                   seed: int) -> _Job:
         """Derive one job's task graph from its spec batch.
 
         Deterministic in its inputs — the journal replays a ``submit``
         event through this same code, so a restarted coordinator
         rebuilds byte-identical task ids and blocking structure.
 
-        ``group=False`` (the historical default) emits one ``:sN`` sim
-        task per spec.  ``group=True`` emits one ``:gN`` task per
-        grouping-law batch (program + geometry, capped at
-        ``group_size`` members), each carrying its cohort's spec list
-        and blocked until *every* trace it replays is settled.
+        Emits one ``:tN`` task per distinct trace and one ``:gN`` task
+        per grouping-law cohort (program + geometry), each carrying its
+        cohort's spec list and blocked until *every* trace it replays
+        is settled.
         """
-        job = _Job(id=job_id, scale=str(scale), seed=int(seed),
-                   group=bool(group),
-                   group_size=None if group_size is None
-                   else int(group_size))
+        job = _Job(id=job_id, scale=str(scale), seed=int(seed))
         job.spec_payloads = [dict(spec) for spec in specs]
         # External-kernel specs ship their package document; the trace
         # task for such a workload needs it too (the worker cannot
@@ -341,52 +339,32 @@ class Coordinator:
             job.trace_queue.append(task_id)
             job.blocked_sims[task_id] = []
             trace_ids[key] = task_id
-        if not job.group:
-            for index, spec in enumerate(specs):
-                task_id = f"{job.id}:s{index}"
-                trace_id = trace_ids[_trace_key_of(spec)]
-                job.tasks[task_id] = _Task(
-                    id=task_id, kind="sim",
-                    payload={"kind": "sim", "index": index, "spec": spec},
-                    index=index, waiting_on={trace_id},
-                )
+        for number, indices in enumerate(_group_wire_specs(specs)):
+            task_id = f"{job.id}:g{number}"
+            needed = {trace_ids[_trace_key_of(specs[i])] for i in indices}
+            job.tasks[task_id] = _Task(
+                id=task_id, kind="sim",
+                payload={"kind": "sim", "indices": list(indices),
+                         "specs": [specs[i] for i in indices]},
+                indices=indices, waiting_on=needed,
+            )
+            for trace_id in sorted(needed):
                 job.blocked_sims[trace_id].append(task_id)
-        else:
-            batches = _group_wire_specs(specs, job.group_size)
-            for number, indices in enumerate(batches):
-                task_id = f"{job.id}:g{number}"
-                needed = {trace_ids[_trace_key_of(specs[i])]
-                          for i in indices}
-                job.tasks[task_id] = _Task(
-                    id=task_id, kind="sim",
-                    payload={"kind": "sim", "indices": list(indices),
-                             "specs": [specs[i] for i in indices]},
-                    indices=list(indices), waiting_on=set(needed),
-                )
-                for trace_id in sorted(needed):
-                    job.blocked_sims[trace_id].append(task_id)
         job.total_sims = len(specs)
         return job
 
-    def submit(self, specs: List[dict], scale: str, seed: int,
-               group: bool = False,
-               group_size: Optional[int] = None) -> dict:
+    def submit(self, specs: List[dict], scale: str, seed: int) -> dict:
         """Queue one spec batch; returns the job id, counts, position.
 
         Always accepted unless the coordinator is draining: several
         drivers share one fleet by queuing jobs FIFO, each scoped by
-        its server-issued id.  ``group=True`` opts the job into
-        batch-granular sim tasks (one lease per grouping-law cohort);
-        per-spec results and their delivery contract are unchanged.
+        its server-issued id.  The receipt counts specs, not cohorts:
+        results are delivered per spec.
         """
         with self._lock:
             if self._draining:
                 raise DistributedError(
                     "coordinator is shutting down and accepts no new jobs"
-                )
-            if group_size is not None and int(group_size) < 1:
-                raise DistributedError(
-                    f"group_size must be >= 1, got {group_size}"
                 )
             self._job_counter += 1
             # The id must be unique across server restarts, not just
@@ -395,20 +373,12 @@ class Coordinator:
             # driver's payloads after a serve crash + resubmit.
             job = self._build_job(
                 f"j{self._job_counter}-{uuid.uuid4().hex[:12]}",
-                specs, scale, seed, group=group, group_size=group_size,
-            )
+                specs, scale, seed)
             position = sum(1 for other in self._jobs.values()
                            if not other.done)
-            event = {"event": "submit", "job": job.id,
-                     "scale": job.scale, "seed": job.seed,
-                     "specs": [dict(spec) for spec in specs]}
-            if job.group:
-                # Only grouped submits stamp the extra fields, keeping
-                # ungrouped journals byte-identical to protocol 2.
-                event["group"] = True
-                if job.group_size is not None:
-                    event["group_size"] = job.group_size
-            self._record(event)
+            self._record({"event": "submit", "job": job.id,
+                          "scale": job.scale, "seed": job.seed,
+                          "specs": [dict(spec) for spec in specs]})
             self._jobs[job.id] = job
             self._evict_finished()
             self._maybe_compact()
@@ -565,7 +535,9 @@ class Coordinator:
         a worker that lost its lease to the crash-recovery requeue
         cannot deliver a duplicate (or conflicting) result later.  An
         ack for an evicted job is stale by definition and discarded the
-        same way.
+        same way.  A sim ack must carry exactly one payload per cohort
+        member; anything else fails the job (a short ack would
+        otherwise leave it forever short of ``done``).
         """
         with self._lock:
             job = self._job_of(task_id)
@@ -577,6 +549,15 @@ class Coordinator:
                     or task.lease != lease:
                 job.stats["stale_acks"] += 1
                 return False
+            if error is None and task.kind == "sim":
+                payloads = (result.get("results")
+                            if isinstance(result, dict) else None)
+                if not isinstance(payloads, list) \
+                        or len(payloads) != len(task.indices):
+                    got = (len(payloads) if isinstance(payloads, list)
+                           else "no")
+                    error = (f"malformed ack: {got} results for "
+                             f"{len(task.indices)} specs")
             if error is not None:
                 message = (
                     f"worker {task.worker} failed {task.kind} task "
@@ -584,21 +565,7 @@ class Coordinator:
                 )
                 self._record({"event": "fail", "job": job.id,
                               "error": message})
-                job.failed = message
-                job.trace_queue.clear()
-                job.ready_sims.clear()
-                job.blocked_sims.clear()
-                # Release *every* lease the failed job still holds, not
-                # just the erroring one: a crashed co-worker's lease on
-                # a dead job would otherwise never expire (the expiry
-                # scan skips finished jobs), leaving a phantom "leased"
-                # count that defeats the dispatch stall diagnostic and
-                # stalls the shutdown drain for its full grace window.
-                # In-flight acks from those workers become stale — the
-                # job is dead, so discarding them is the correct side
-                # of exactly-once.
-                for leased_id in list(job.leased):
-                    job.release_lease(job.tasks[leased_id])
+                job.fail(message)
                 self._evict_finished()
                 self._maybe_compact()
                 return True
@@ -630,21 +597,14 @@ class Coordinator:
             for sim_id in job.blocked_sims.pop(task.id, []):
                 sim = job.tasks[sim_id]
                 sim.waiting_on.discard(task.id)
-                # Grouped tasks may replay several traces; they ready
-                # only when the last one settles.  Ungrouped tasks wait
-                # on exactly one, so they ready here immediately — the
-                # historical order, unchanged.
+                # A cohort may replay several traces; it readies only
+                # when the last one settles.
                 if not sim.waiting_on:
                     job.ready_sims.append(sim_id)
-        elif task.indices is not None:
-            # One grouped ack lands the whole cohort's results as a
-            # contiguous block, so the client cursor walks per-spec
-            # pairs exactly as it does for ungrouped jobs.
-            payloads = (result or {}).get("results", [])
-            job.results.extend(zip(task.indices, payloads))
-            job.sim_done.append((task.id, result))
         else:
-            job.results.append((task.index, result))
+            # One cohort ack lands its members' results as a contiguous
+            # block, so the client cursor walks per-spec pairs.
+            job.results.extend(zip(task.indices, result["results"]))
             job.sim_done.append((task.id, result))
 
     # -- result delivery ------------------------------------------------
@@ -790,9 +750,7 @@ class Coordinator:
         if kind == "submit":
             job_id = str(event["job"])
             job = self._build_job(job_id, event["specs"],
-                                  event["scale"], event["seed"],
-                                  group=bool(event.get("group", False)),
-                                  group_size=event.get("group_size"))
+                                  event["scale"], event["seed"])
             self._jobs[job_id] = job
             # Keep the counter monotonic past every replayed id, so a
             # post-restart submit can never collide with a journaled
@@ -818,8 +776,8 @@ class Coordinator:
                 else:
                     job.ready_sims.remove(task.id)
             if task.kind == "sim":
-                # It may still be blocked behind trace ids (grouped
-                # tasks behind several); drop it from every list.
+                # It may still be blocked behind trace ids (a cohort
+                # behind several); drop it from every list.
                 for blocked in job.blocked_sims.values():
                     with contextlib.suppress(ValueError):
                         blocked.remove(task.id)
@@ -829,10 +787,7 @@ class Coordinator:
             job = self._jobs.get(str(event["job"]))
             if job is None:
                 return
-            job.failed = str(event["error"])
-            job.trace_queue.clear()
-            job.ready_sims.clear()
-            job.blocked_sims.clear()
+            job.fail(str(event["error"]))
         elif kind == "evict":
             job = self._jobs.pop(str(event["job"]), None)
             stats = event.get("stats") or (job.stats if job else {})
@@ -872,16 +827,11 @@ class Coordinator:
             events.append({"event": "evicted_stats",
                            "stats": dict(self._evicted_stats)})
         for job in self._jobs.values():
-            submit: dict = {
+            events.append({
                 "event": "submit", "job": job.id, "scale": job.scale,
                 "seed": job.seed,
                 "specs": [dict(spec) for spec in job.spec_payloads],
-            }
-            if job.group:
-                submit["group"] = True
-                if job.group_size is not None:
-                    submit["group_size"] = job.group_size
-            events.append(submit)
+            })
             for task in job.tasks.values():
                 if task.kind == "trace" and task.state == "done":
                     events.append({"event": "done", "task": task.id,

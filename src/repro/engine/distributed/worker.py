@@ -178,21 +178,12 @@ class CoordinatorClient:
             )
         return health
 
-    def submit(self, specs: List[dict], *, scale: str, seed: int,
-               group: bool = False,
-               group_size: Optional[int] = None) -> dict:
-        body = {
+    def submit(self, specs: List[dict], *, scale: str, seed: int) -> dict:
+        return self._post("/queue/job", {
             "specs": specs, "scale": scale, "seed": seed,
             "engine_version": ENGINE_VERSION,
             "protocol_version": PROTOCOL_VERSION,
-        }
-        if group:
-            # Batch-granular dispatch: one sim task per grouping-law
-            # cohort instead of one per spec (protocol v3).
-            body["group"] = True
-            if group_size is not None:
-                body["group_size"] = int(group_size)
-        return self._post("/queue/job", body)
+        })
 
     def lease(self, worker: str, *, max_tasks: int = 1,
               acks: Optional[Sequence[dict]] = None) -> dict:
@@ -276,7 +267,7 @@ def _settle_verdicts(pending: List[dict], verdicts: Sequence[bool],
             else:
                 summary.trace_cache_hits += 1
         else:
-            summary.sims += 1
+            summary.sims += len(entry["_task"]["specs"])
         if on_task is not None:
             on_task(entry["_kind"], entry["_task"])
 
@@ -436,11 +427,11 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
                                     "computed": computed},
                             "_kind": "trace", "_task": task,
                         })
-                    elif "specs" in task:
-                        # Batch-granular task: the whole grouped cohort
-                        # executes through one engine.execute call
-                        # against one shared placement pool; the ack
-                        # carries per-spec payloads in cohort order.
+                    else:
+                        # A sim task is one cohort: it executes through
+                        # one engine.execute call against one shared
+                        # placement pool; the ack carries per-spec
+                        # payloads in cohort order.
                         from repro.engine.spec import RunSpec
 
                         cohort = [RunSpec.from_payload(payload)
@@ -452,18 +443,6 @@ def work_loop(url: str, *, poll: float = DEFAULT_POLL,
                                     "result": {"results": [
                                         item.result.to_payload()
                                         for item in run_results]}},
-                            "_kind": "sim", "_task": task,
-                        })
-                    else:
-                        from repro.engine.spec import RunSpec
-
-                        spec = RunSpec.from_payload(task["spec"])
-                        run_result, = engine.execute([spec])
-                        pending.append({
-                            "ack": {"id": task_id, "lease": lease,
-                                    "computed": False,
-                                    "result":
-                                        run_result.result.to_payload()},
                             "_kind": "sim", "_task": task,
                         })
                 except DistributedUnavailable:
@@ -514,9 +493,7 @@ def dispatch_job(client: CoordinatorClient, specs: List[dict], *,
                  scale: str, seed: int,
                  poll: float = DEFAULT_POLL,
                  stall_timeout: float = DEFAULT_STALL_TIMEOUT,
-                 reconnect: float = DEFAULT_RECONNECT,
-                 group: bool = False,
-                 group_size: Optional[int] = None
+                 reconnect: float = DEFAULT_RECONNECT
                  ) -> Iterator[Tuple[int, dict]]:
     """Submit a job and yield ``(spec index, cycles payload)`` pairs.
 
@@ -542,13 +519,7 @@ def dispatch_job(client: CoordinatorClient, specs: List[dict], *,
     the "unknown job" rejection — not retryable — surfaces as usual.)
     """
     client.check_version()
-    if group:
-        receipt = client.submit(specs, scale=scale, seed=seed,
-                                group=True, group_size=group_size)
-    else:
-        # Ungrouped dispatch keeps the historical call shape so client
-        # doubles (and older coordinators) never see the group fields.
-        receipt = client.submit(specs, scale=scale, seed=seed)
+    receipt = client.submit(specs, scale=scale, seed=seed)
     job_id = receipt.get("job")
     cursor = 0
     last_progress = time.monotonic()

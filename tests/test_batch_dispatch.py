@@ -1,26 +1,33 @@
-"""Batch-granular dispatch: grouped cohorts over the wire.
+"""Cohort dispatch: grouping-law cohorts over the wire.
 
-A coordinator task may carry a whole grouped cohort (``group=True`` on
-submit): the job's specs are partitioned by program + geometry, each
-group travels as one ``<job>:gN`` task blocked on *every* trace it
-needs, workers execute the group through one ``engine.execute`` call,
-and the ack fans the per-spec payloads back out under the original
-indices.  Everything a
-driver can observe — result payloads, delivery order guarantees,
-exactly-once semantics, journal replay, assembled reports — must be
-byte-identical to ungrouped dispatch and to a local ``Engine()`` run.
+Every dispatched job's specs are partitioned by the grouping law:
+specs share a cohort exactly when they run the same program on the
+same geometry, because such specs share one placement pool
+worker-side.  Seeds, latency parameters, and models may differ inside
+a cohort; workload, scale, rows, or cols differences split it.  Each
+cohort travels as one ``<job>:gN`` task blocked on *every* trace it
+needs, workers execute it through one ``engine.execute`` call, and the
+ack fans the per-spec payloads back out under the original indices.
+Everything a driver can observe — result payloads, delivery order
+guarantees, exactly-once semantics, journal replay, assembled reports —
+must be byte-identical to a local ``Engine()`` run.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.arch.params import DEFAULT_PARAMS, ArchParams
 from repro.cli import main
 from repro.engine import Engine, MemoryBackend, ModelSpec, RunSpec
-from repro.engine.distributed.coordinator import Coordinator
+from repro.engine.distributed.coordinator import (
+    Coordinator,
+    _group_wire_specs,
+    _wire_batch_key,
+)
 from repro.engine.distributed.journal import JobJournal
 from repro.engine.distributed.server import DistributedServer
 from repro.engine.distributed.worker import (
@@ -28,7 +35,6 @@ from repro.engine.distributed.worker import (
     dispatch_job,
     work_loop,
 )
-from repro.errors import DistributedError
 
 VN = ModelSpec.make("von_neumann")
 MARIONETTE = ModelSpec.make("marionette")
@@ -49,7 +55,7 @@ def _payloads(specs):
 
 def _drain(coordinator, job_id, *, worker="w"):
     """Lease and ack every task, returning delivered (index, payload)
-    pairs; grouped sim tasks are executed as fake per-spec results."""
+    pairs; sim cohorts are executed as fake per-spec results."""
     landed = []
     cursor = 0
     while True:
@@ -64,18 +70,81 @@ def _drain(coordinator, job_id, *, worker="w"):
         task = grant["task"]
         if task["kind"] == "trace":
             coordinator.ack(grant["id"], grant["lease"], computed=True)
-        elif "specs" in task:
-            coordinator.ack(grant["id"], grant["lease"], result={
-                "results": [{"cycles": 100 + task["indices"][i]}
-                            for i in range(len(task["specs"]))],
-            })
         else:
-            coordinator.ack(grant["id"], grant["lease"],
-                            result={"cycles": 100 + task["index"]})
+            coordinator.ack(grant["id"], grant["lease"], result={
+                "results": [{"cycles": 100 + index}
+                            for index in task["indices"]],
+            })
 
 
 # ----------------------------------------------------------------------
-# Coordinator semantics of grouped jobs
+# The grouping law over wire specs
+# ----------------------------------------------------------------------
+def spec(workload="gemm", scale="tiny", seed=0, model=MARIONETTE,
+         params=None):
+    return RunSpec(workload=workload, scale=scale, seed=seed,
+                   model=model, params=params or ArchParams())
+
+
+def group(specs):
+    return _group_wire_specs([s.to_payload() for s in specs])
+
+
+class TestGroupingLaw:
+    def test_key_is_program_plus_geometry(self):
+        base = spec()
+        assert _wire_batch_key(base.to_payload()) == (
+            "gemm", "tiny", base.params.rows, base.params.cols)
+
+    def test_seeds_models_and_latencies_share_a_batch(self):
+        """Everything that does not move the program or the grid may
+        ride in one batch."""
+        slow = replace(ArchParams(), data_net_latency=9)
+        specs = [
+            spec(seed=0),
+            spec(seed=3),
+            spec(model=VN),
+            spec(params=slow),
+        ]
+        assert group(specs) == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("other", [
+        spec(workload="crc"),
+        spec(scale="small"),
+        spec(params=ArchParams().scaled(8, 8)),
+        spec(params=ArchParams().scaled(4, 16)),
+    ])
+    def test_program_or_geometry_differences_split(self, other):
+        assert group([spec(), other]) == [[0], [1]]
+
+    def test_mixed_arch_sweep_splits_at_geometry_boundaries(self):
+        """An arch sweep interleaving two geometries yields exactly two
+        batches, each collecting its geometry's members in order."""
+        small = ArchParams()
+        large = ArchParams().scaled(8, 8)
+        specs = [spec(seed=s, params=p)
+                 for s in range(3) for p in (small, large)]
+        batches = group(specs)
+        assert batches == [[0, 2, 4], [1, 3, 5]]
+        for batch in batches:
+            keys = {_wire_batch_key(specs[i].to_payload()) for i in batch}
+            assert len(keys) == 1
+
+    def test_grouping_is_a_covering_permutation(self):
+        specs = [spec(workload=w, seed=s)
+                 for w in ("gemm", "crc", "fft") for s in range(2)]
+        batches = group(specs)
+        flattened = sorted(i for batch in batches for i in batch)
+        assert flattened == list(range(len(specs)))
+        for batch in batches:
+            assert batch == sorted(batch)
+
+    def test_empty_input(self):
+        assert group([]) == []
+
+
+# ----------------------------------------------------------------------
+# Coordinator semantics of cohort jobs
 # ----------------------------------------------------------------------
 class TestGroupedCoordinator:
     @staticmethod
@@ -96,8 +165,8 @@ class TestGroupedCoordinator:
     def test_grouped_submit_follows_the_grouping_law(self):
         coordinator = Coordinator()
         receipt = coordinator.submit(_payloads(_specs()), scale="tiny",
-                                     seed=0, group=True)
-        # The receipt keeps the historical per-spec counts ...
+                                     seed=0)
+        # The receipt counts specs ...
         assert receipt["traces"] == 4       # (workload, seed) pairs
         assert receipt["sims"] == 8
         # ... but the work divides into one task per grouping-law
@@ -108,29 +177,13 @@ class TestGroupedCoordinator:
                       for index in grant["task"]["indices"]) == \
             list(range(8))
 
-    def test_group_size_seals_batches(self):
-        coordinator = Coordinator()
-        coordinator.submit(_payloads(_specs()), scale="tiny",
-                           seed=0, group=True, group_size=3)
-        # Each workload's 4 members split 3+1.
-        grants = self._sim_grants(coordinator)
-        assert sorted(len(grant["task"]["specs"])
-                      for grant in grants) == [1, 1, 3, 3]
-
-    def test_group_size_must_be_positive(self):
-        coordinator = Coordinator()
-        with pytest.raises(DistributedError, match="group"):
-            coordinator.submit(_payloads(_specs()[:2]), scale="tiny",
-                               seed=0, group=True, group_size=0)
-
     def test_grouped_task_waits_for_every_needed_trace(self):
         """A group spanning two seeds needs two traces; it must stay
         blocked until the *last* one acks."""
         specs = [RunSpec("gemm", "tiny", seed, VN, DEFAULT_PARAMS)
                  for seed in (0, 1)]
         coordinator = Coordinator()
-        coordinator.submit(_payloads(specs), scale="tiny", seed=0,
-                           group=True)
+        coordinator.submit(_payloads(specs), scale="tiny", seed=0)
         first = coordinator.lease("w")
         assert first["task"]["kind"] == "trace"
         second = coordinator.lease("w")
@@ -147,7 +200,7 @@ class TestGroupedCoordinator:
     def test_grouped_results_fan_out_per_spec(self):
         coordinator = Coordinator()
         receipt = coordinator.submit(_payloads(_specs()), scale="tiny",
-                                     seed=0, group=True)
+                                     seed=0)
         landed, batch = _drain(coordinator, receipt["job"])
         assert batch["done"] and not batch["failed"]
         assert sorted(index for index, _payload in landed) == \
@@ -161,34 +214,24 @@ class TestGroupedCoordinator:
                          ArchParams().scaled(8, 8))]
         coordinator = Coordinator()
         receipt = coordinator.submit(_payloads(specs), scale="tiny",
-                                     seed=0, group=True)
+                                     seed=0)
         assert receipt["sims"] == 2
-
-    def test_ungrouped_submit_shape_is_unchanged(self):
-        """Protocol compatibility: without group=True the task ids,
-        payload shapes, and receipt are exactly the historical ones."""
-        coordinator = Coordinator()
-        receipt = coordinator.submit(_payloads(_specs()[:2]),
-                                     scale="tiny", seed=0)
-        assert receipt["sims"] == 2
-        trace = coordinator.lease("w")
-        coordinator.ack(trace["id"], trace["lease"], computed=True)
-        grant = coordinator.lease("w")
-        assert grant["id"].rsplit(":", 1)[1].startswith("s")
-        assert "spec" in grant["task"]
-        assert "specs" not in grant["task"]
-        assert "indices" not in grant["task"]
+        grants = self._sim_grants(coordinator)
+        assert sorted(grant["task"]["indices"] for grant in grants) \
+            == [[0], [1]]
+        assert sorted(grant["id"].rsplit(":", 1)[1]
+                      for grant in grants) == ["g0", "g1"]
 
 
 # ----------------------------------------------------------------------
-# Durability: grouped jobs replay from the journal
+# Durability: cohort jobs replay from the journal
 # ----------------------------------------------------------------------
 class TestGroupedJournalReplay:
     def test_grouped_job_survives_a_restart(self, tmp_path):
         coordinator = Coordinator(journal=JobJournal(tmp_path))
         receipt = coordinator.submit(_payloads(_specs()), scale="tiny",
-                                     seed=0, group=True, group_size=3)
-        # Ack every trace plus one grouped sim, then "crash".
+                                     seed=0)
+        # Ack every trace plus one cohort, then "crash".
         done_one_group = False
         while not done_one_group:
             grant = coordinator.lease("w")
@@ -255,7 +298,7 @@ class TestBatchDispatchEndToEnd:
         try:
             landed = dict(dispatch_job(
                 client, _payloads(specs), scale="tiny", seed=0,
-                poll=0.02, group=True,
+                poll=0.02,
             ))
         finally:
             client.shutdown()
@@ -265,33 +308,10 @@ class TestBatchDispatchEndToEnd:
         assert [landed[index] for index in range(len(specs))] == \
             reference
 
-    def test_group_size_one_equals_ungrouped_dispatch(self, server):
-        specs = _specs()[:4]
-        local = Engine()
-        reference = [run.result.to_payload()
-                     for run in local.execute(specs)]
-        workers = _fleet(server.url, count=1)
-        client = CoordinatorClient(server.url)
-        try:
-            grouped = dict(dispatch_job(
-                client, _payloads(specs), scale="tiny", seed=0,
-                poll=0.02, group=True, group_size=1,
-            ))
-            plain = dict(dispatch_job(
-                client, _payloads(specs), scale="tiny", seed=0,
-                poll=0.02,
-            ))
-        finally:
-            client.shutdown()
-            for worker in workers:
-                worker.join(timeout=30.0)
-        assert [grouped[i] for i in range(len(specs))] == reference
-        assert [plain[i] for i in range(len(specs))] == reference
-
     def test_dispatched_bench_report_is_byte_identical(self, capsys,
                                                        server):
-        """`repro bench --dispatch` submits grouped tasks; the report
-        must stay byte-identical to a local run."""
+        """`repro bench --dispatch` ships cohort tasks; the report must
+        stay byte-identical to a local run."""
         assert main(["bench", "--scale", "tiny",
                      "--format", "json"]) == 0
         local = capsys.readouterr().out

@@ -71,15 +71,23 @@ SRC_DIR = str(Path(repro.__file__).parents[1])
 
 
 def _specs(scale: str = "tiny"):
+    """Two geometries per workload: each spec is its own sim cohort,
+    and each adjacent pair shares one trace."""
     return [
-        RunSpec(name, scale, 0, model, DEFAULT_PARAMS)
+        RunSpec(name, scale, 0, VN, params)
         for name in ("gemm", "crc", "fft")
-        for model in (VN, MARIONETTE)
+        for params in (DEFAULT_PARAMS, DEFAULT_PARAMS.scaled(8, 8))
     ]
 
 
 def _payloads(specs):
     return [spec.to_payload() for spec in specs]
+
+
+def _cohort_ack(task, payload=None):
+    """A sim ack in the cohort shape: one payload per member."""
+    return {"results": [dict(payload or {"cycles": 1})
+                        for _index in task["indices"]]}
 
 
 def _dead_url() -> str:
@@ -229,7 +237,7 @@ class TestCoordinator:
                 break
             response = coordinator.lease("w")
             coordinator.ack(response["id"], response["lease"],
-                            result={"cycles": 1})
+                            result=_cohort_ack(response["task"]))
         assert sorted(index for index, _payload in seen) == [0, 1]
         assert len(seen) == 2
 
@@ -310,6 +318,33 @@ class TestCoordinator:
         assert "kernel exploded" in verdict["failed"]
         assert coordinator.lease("w") == {"wait": True}
 
+    @pytest.mark.parametrize("result", [
+        {"results": []},
+        {"results": [{"cycles": 1}] * 3},
+        {"cycles": 1},
+        None,
+    ], ids=["empty", "too-many", "not-a-list", "missing"])
+    def test_malformed_cohort_ack_fails_the_job(self, result):
+        """A sim ack must carry one payload per cohort member; a short
+        one would otherwise leave the job forever short of done."""
+        coordinator, _clock = self._coordinator()
+        specs = [RunSpec("gemm", "tiny", 0, model, DEFAULT_PARAMS)
+                 for model in (VN, MARIONETTE)]
+        receipt = coordinator.submit(_payloads(specs), scale="tiny",
+                                     seed=0)
+        trace = coordinator.lease("w")
+        coordinator.ack(trace["id"], trace["lease"], computed=True)
+        sim = coordinator.lease("w")
+        assert sim["task"]["indices"] == [0, 1]
+        assert coordinator.ack(sim["id"], sim["lease"], result=result)
+        verdict = coordinator.results_since(receipt["job"], 0)
+        assert verdict["done"]
+        assert verdict["results"] == []
+        assert sim["id"] in verdict["failed"]
+        assert "results for 2 specs" in verdict["failed"]
+        assert "\n" not in verdict["failed"]
+        assert coordinator.status()["leased"] == 0
+
     def test_drain_tells_workers_to_shut_down(self):
         coordinator, _clock = self._coordinator()
         coordinator.submit(_payloads(_specs()[:1]), scale="tiny", seed=0)
@@ -344,7 +379,7 @@ class TestMultiJob:
                                 computed=True)
             else:
                 coordinator.ack(response["id"], response["lease"],
-                                result={"cycles": 1})
+                                result=_cohort_ack(response["task"]))
 
     def test_concurrent_submissions_queue_fifo(self):
         coordinator, _clock = self._coordinator()
@@ -411,7 +446,7 @@ class TestMultiJob:
         assert coordinator.status()["leased"] == 0
         # The co-worker's in-flight ack lands on a dead job: stale.
         assert not coordinator.ack(survivor["id"], survivor["lease"],
-                                   result={"cycles": 1})
+                                   result=_cohort_ack(survivor["task"]))
 
     def test_unknown_job_id_is_a_loud_error(self):
         coordinator, _clock = self._coordinator()
@@ -516,7 +551,7 @@ class TestFairShareSchedule:
                                     computed=True)
                 else:
                     coordinator.ack(grant["id"], grant["lease"],
-                                    result={"cycles": 1})
+                                    result=_cohort_ack(grant["task"]))
         verdict = coordinator.results_since(receipt["job"], 0)
         assert verdict["done"] and not verdict["failed"]
         assert served >= 2
@@ -597,11 +632,12 @@ class TestBatchedLease:
             == {g["id"] for g in doomed["tasks"]}
         for grant in survivor["tasks"]:
             assert coordinator.ack(grant["id"], grant["lease"],
-                                   result={"cycles": 1})
+                                   result=_cohort_ack(grant["task"]))
         # The dead worker's batch of acks arrives late: all stale.
         for grant in doomed["tasks"]:
-            assert not coordinator.ack(grant["id"], grant["lease"],
-                                       result={"cycles": 999})
+            assert not coordinator.ack(
+                grant["id"], grant["lease"],
+                result=_cohort_ack(grant["task"], {"cycles": 999}))
         batch = coordinator.results_since(receipt["job"], 0)
         assert sorted(i for i, _p in batch["results"]) == [0, 1]
         assert all(p == {"cycles": 1} for _i, p in batch["results"])
@@ -946,12 +982,12 @@ class TestFailurePaths:
                 if self.handed_out:
                     return {"shutdown": True, "acked": verdicts}
                 self.handed_out = True
-                bad = {"kind": "sim", "index": 0,
-                       "spec": {"workload": "gemm"}}     # malformed
+                bad = {"kind": "sim", "indices": [0],
+                       "specs": [{"workload": "gemm"}]}  # malformed
                 sibling = {"kind": "trace", "workload": "gemm",
                            "scale": "tiny", "seed": 0}
                 return {"tasks": [
-                    {"task": bad, "id": "j9-dead:s0", "lease": "L1"},
+                    {"task": bad, "id": "j9-dead:g0", "lease": "L1"},
                     {"task": dict(sibling), "id": "j9-dead:t0",
                      "lease": "L2"},
                 ], "acked": verdicts}
@@ -964,7 +1000,7 @@ class TestFailurePaths:
         summary = work_loop(server.url, client=client)
         assert summary.failures == 1
         assert [task_id for task_id, _err in client.error_acks] \
-            == ["j9-dead:s0"]
+            == ["j9-dead:g0"]
         # The sibling was neither computed nor acknowledged.
         assert client.piggybacked == []
         assert summary.traces_computed == 0
@@ -1120,7 +1156,9 @@ class TestFailurePaths:
         ).start()
         try:
             client = CoordinatorClient(server.url)
-            specs = _specs()[:2]
+            # Two specs, one cohort: the worker counts specs, not tasks.
+            specs = [RunSpec("gemm", "tiny", 0, model, DEFAULT_PARAMS)
+                     for model in (VN, MARIONETTE)]
             receipt = client.submit(_payloads(specs), scale="tiny",
                                     seed=0)
             # A worker leases the first task and dies without acking.
@@ -1428,7 +1466,7 @@ class TestFleetReliability:
                                computed=True)
         sim = coordinator.lease("w")
         assert coordinator.ack(sim["id"], sim["lease"],
-                               result={"cycles": 1})
+                               result=_cohort_ack(sim["task"]))
         # The completing ack itself ran the retention sweep: on a quiet
         # serve there may never be a next submit to trigger it, and
         # until then the job would pin its results payloads in RAM.
@@ -1471,9 +1509,9 @@ class TestFleetReliability:
                 if self.round > self.rounds:
                     return {"shutdown": True, "acked": []}
                 return {"acked": [], "tasks": [
-                    {"task": {"kind": "sim", "index": i,
-                              "spec": {"malformed": True}},
-                     "id": f"j{self.round}-x:s{i}",
+                    {"task": {"kind": "sim", "indices": [i],
+                              "specs": [{"malformed": True}]},
+                     "id": f"j{self.round}-x:g{i}",
                      "lease": f"L{self.round}.{i}"}
                     for i in range(self.batch)
                 ]}

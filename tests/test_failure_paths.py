@@ -175,10 +175,11 @@ class TestCoordinatorCrashRecovery:
         from repro.engine import ModelSpec, RunSpec
         from repro.engine.distributed.worker import CoordinatorClient
 
+        # Two geometries: one trace, two sim cohorts.
         specs = [
-            RunSpec("gemm", "tiny", 0, ModelSpec.make(model),
-                    DEFAULT_PARAMS).to_payload()
-            for model in ("von_neumann", "marionette")
+            RunSpec("gemm", "tiny", 0, ModelSpec.make("von_neumann"),
+                    params).to_payload()
+            for params in (DEFAULT_PARAMS, DEFAULT_PARAMS.scaled(8, 8))
         ]
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -198,7 +199,7 @@ class TestCoordinatorCrashRecovery:
                               computed=True)
             first_sim = client.lease("w")["tasks"][0]
             assert client.ack(first_sim["id"], first_sim["lease"],
-                              result={"cycles": 41})
+                              result={"results": [{"cycles": 41}]})
             doomed = client.lease("w")["tasks"][0]
 
             proc.send_signal(signal.SIGKILL)
@@ -209,17 +210,17 @@ class TestCoordinatorCrashRecovery:
             # Acked results are still pollable at their old cursor.
             batch = client.results_since(job, 0)
             assert batch["results"] \
-                == [[first_sim["task"]["index"], {"cycles": 41}]]
+                == [[first_sim["task"]["indices"][0], {"cycles": 41}]]
             assert not batch["done"]
             # The dead process's lease was not restored: its token is
             # stale, and the task re-leases with a fresh one.
             assert not client.ack(doomed["id"], doomed["lease"],
-                                  result={"cycles": 666})
+                                  result={"results": [{"cycles": 666}]})
             retry = client.lease("w2")["tasks"][0]
             assert retry["id"] == doomed["id"]
             assert retry["lease"] != doomed["lease"]
             assert client.ack(retry["id"], retry["lease"],
-                              result={"cycles": 42})
+                              result={"results": [{"cycles": 42}]})
             final = client.results_since(job, 0)
             assert final["done"]
             assert sorted(
@@ -273,7 +274,8 @@ class TestCoordinatorCrashRecovery:
                         else:
                             coordinator.ack(grant["id"],
                                             grant["lease"],
-                                            result={"cycles": 9})
+                                            result={"results": [
+                                                {"cycles": 9}]})
             except Exception as error:   # noqa: BLE001 - recorded
                 errors.append(error)
 

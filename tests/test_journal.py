@@ -40,7 +40,10 @@ import repro
 from repro.arch.params import DEFAULT_PARAMS
 from repro.engine import Engine, ModelSpec, RunSpec
 from repro.engine.distributed.backend import HTTPBackend
-from repro.engine.distributed.coordinator import Coordinator
+from repro.engine.distributed.coordinator import (
+    PROTOCOL_VERSION,
+    Coordinator,
+)
 from repro.engine.distributed.journal import (
     JOURNAL_VERSION,
     JobJournal,
@@ -54,16 +57,17 @@ from repro.engine.distributed.worker import (
 from repro.errors import DistributedError, DistributedUnavailable
 
 VN = ModelSpec.make("von_neumann")
-MARIONETTE = ModelSpec.make("marionette")
 
 SRC_DIR = str(Path(repro.__file__).parents[1])
 
 
 def _specs(scale: str = "tiny"):
+    """Two geometries per workload: each spec is its own sim cohort,
+    and each adjacent pair shares one trace."""
     return [
-        RunSpec(name, scale, 0, model, DEFAULT_PARAMS)
+        RunSpec(name, scale, 0, VN, params)
         for name in ("gemm", "crc", "fft")
-        for model in (VN, MARIONETTE)
+        for params in (DEFAULT_PARAMS, DEFAULT_PARAMS.scaled(8, 8))
     ]
 
 
@@ -113,7 +117,9 @@ class TestJournalFile:
         with pytest.raises(DistributedError, match="line 2"):
             journal.replay()
 
-    def test_version_skew_refuses_to_replay(self, tmp_path):
+    @pytest.mark.parametrize("protocol", [-1, PROTOCOL_VERSION - 1],
+                             ids=["bogus-protocol", "previous-protocol"])
+    def test_version_skew_refuses_to_replay(self, tmp_path, protocol):
         journal = JobJournal(tmp_path)
         record = journal._stamp({"event": "submit", "job": "j1-x"})
         record["v"] = JOURNAL_VERSION + 1
@@ -121,10 +127,15 @@ class TestJournalFile:
                                 encoding="utf-8")
         with pytest.raises(DistributedError, match="incompatible build"):
             journal.replay()
-        record["v"] = JOURNAL_VERSION
-        record["protocol"] = -1
-        journal.path.write_text(json.dumps(record) + "\n",
-                                encoding="utf-8")
+        # The previous protocol acked per-spec ``:sN`` tasks: replayed
+        # against cohort tasks, its results would silently vanish.
+        done = {"event": "done", "task": "j1-x:s0", "kind": "sim",
+                "result": {"cycles": 1}}
+        journal.path.write_text(
+            "".join(json.dumps(dict(event, v=JOURNAL_VERSION,
+                                    protocol=protocol)) + "\n"
+                    for event in (record, done)),
+            encoding="utf-8")
         with pytest.raises(DistributedError, match="incompatible build"):
             journal.replay()
 
@@ -172,7 +183,7 @@ class TestCoordinatorResume:
         self._finish_trace(coordinator)
         sim = coordinator.lease("w")
         assert coordinator.ack(sim["id"], sim["lease"],
-                               result={"cycles": 11})
+                               result={"results": [{"cycles": 11}]})
         # -- crash here: only the journal carries the state across ----
         resumed, summary = Coordinator.resume(journal)
         assert summary["jobs"] == 1
@@ -180,14 +191,14 @@ class TestCoordinatorResume:
         assert summary["results"] == 1
         assert summary["requeued"] == 1       # the un-acked sim
         batch = resumed.results_since(job, 0)
-        assert batch["results"] == [[sim["task"]["index"],
+        assert batch["results"] == [[sim["task"]["indices"][0],
                                      {"cycles": 11}]]
         assert not batch["done"]
         # The surviving sim re-leases and the job completes normally.
         retry = resumed.lease("w2")
         assert retry["task"]["kind"] == "sim"
         assert resumed.ack(retry["id"], retry["lease"],
-                           result={"cycles": 22})
+                           result={"results": [{"cycles": 22}]})
         final = resumed.results_since(job, 0)
         assert final["done"]
         assert sorted(index for index, _payload in final["results"]) \
@@ -233,7 +244,7 @@ class TestCoordinatorResume:
         self._finish_trace(coordinator)
         sim = coordinator.lease("w")
         assert coordinator.ack(sim["id"], sim["lease"],
-                               result={"cycles": 1})
+                               result={"results": [{"cycles": 1}]})
         assert coordinator.status()["jobs"] == []   # evicted on done
         resumed, summary = Coordinator.resume(journal)
         assert summary["jobs"] == 0
@@ -253,7 +264,7 @@ class TestCoordinatorResume:
             for _sim in range(2):
                 grant = coordinator.lease("w")
                 assert coordinator.ack(grant["id"], grant["lease"],
-                                       result={"cycles": 7})
+                                       result={"results": [{"cycles": 7}]})
         # History would be ~8x the table; compaction keeps the file
         # within one snapshot of the budget, not proportional to it.
         assert journal.path.stat().st_size < 3 * 4096
@@ -277,9 +288,10 @@ class TestCoordinatorResume:
                 assert coordinator.ack(grant["id"], grant["lease"],
                                        computed=True)
             else:
-                index = grant["task"]["index"]
-                assert coordinator.ack(grant["id"], grant["lease"],
-                                       result={"cycles": 100 + index})
+                assert coordinator.ack(grant["id"], grant["lease"], result={
+                    "results": [{"cycles": 100 + index}
+                                for index in grant["task"]["indices"]],
+                })
         before = coordinator.results_since(job, 2)
         # Force a compaction cycle before the restart so the snapshot's
         # result *order* (the cursor contract) is what replay sees.
