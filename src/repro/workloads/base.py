@@ -66,16 +66,10 @@ class WorkloadInstance:
     def name(self) -> str:
         return self.cdfg.name
 
-    def run(self, *, engine: str = "compiled",
-            max_steps: int = 50_000_000) -> ExecutionResult:
+    def run(self) -> ExecutionResult:
         """Interpret the kernel (cached)."""
-        if self._result is None or engine != "compiled":
-            result = Interpreter(self.cdfg, engine=engine).run(
-                self.memory, self.params, max_steps=max_steps
-            )
-            if engine != "compiled":
-                return result
-            self._result = result
+        if self._result is None:
+            self._result = Interpreter(self.cdfg).run(self.memory, self.params)
         return self._result
 
     def check(self) -> None:
