@@ -1,11 +1,12 @@
 """Streaming latency benchmark: first result before the batch would end.
 
-Batch mode blocks on a whole-batch trace phase before any model
-evaluation surfaces; streaming prices a spec the moment its trace lands.
-The contract worth asserting is the user-visible one: on a cold engine,
-streaming's time-to-first-result beats batch mode's time-to-completion —
-a sweep starts reporting while an equivalent batch run would still be
-silent.
+``Engine.execute`` collects ``Engine.stream``, so it returns nothing
+until the whole sweep is priced; the stream itself yields each spec the
+moment it is priced, and prices a spec the moment its trace lands.  The
+contract worth asserting is the user-visible one: on a cold engine,
+streaming's time-to-first-result beats the collected run's
+time-to-completion — a sweep starts reporting while ``execute`` would
+still be silent.
 """
 
 from __future__ import annotations

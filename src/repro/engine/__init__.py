@@ -9,9 +9,9 @@ Layers (bottom up):
   functional traces and cycle results, plus the per-run statistics log;
 * :mod:`repro.engine.cache_admin` — cache inventory, statistics, and
   pruning (the ``repro cache`` subcommand);
-* :mod:`repro.engine.executor` — the :class:`Engine`: batch execution
-  (:meth:`Engine.execute`) and streaming execution (:meth:`Engine.stream`)
-  with multiprocessing, deterministic result ordering, and run statistics;
+* :mod:`repro.engine.executor` — the :class:`Engine`: one execution path
+  (:meth:`Engine.stream`, over a process pool when ``jobs > 1``) that
+  :meth:`Engine.execute` collects into spec order, plus run statistics;
 * :mod:`repro.engine.export` — JSON/CSV report exports and shard
   export/merge documents;
 * :mod:`repro.engine.distributed` — the multi-machine layer: pluggable

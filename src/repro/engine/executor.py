@@ -11,16 +11,13 @@ deterministic lists of :class:`~repro.engine.spec.RunResult`:
 * **cycle results** are cached under the full spec identity (params +
   model + engine version), so re-running a report with a warm cache does
   no model evaluation either;
-* :meth:`Engine.execute` is the throughput mode: with ``jobs > 1`` both
-  phases fan out over a ``multiprocessing`` pool, chunked so each worker
-  builds as few kernel instances as possible; results are reassembled in
-  spec order, so parallel and serial runs are indistinguishable
-  downstream;
-* :meth:`Engine.stream` is the latency mode: it yields ``(index,
-  RunResult)`` pairs *as workers finish* — a spec is simulated the moment
-  its trace lands instead of behind a whole-batch trace barrier — and
-  every input position is yielded exactly once, so callers can reassemble
-  the deterministic spec order for reports.
+* :meth:`Engine.stream` is the one execution path: it yields ``(index,
+  RunResult)`` pairs as results land — with ``jobs > 1`` on a process
+  pool, where a spec is priced the moment its own trace arrives and the
+  trace payload rides along with the task — and every input position is
+  yielded exactly once;
+* :meth:`Engine.execute` collects that stream back into spec order, so
+  parallel and serial runs are indistinguishable downstream.
 
 :attr:`Engine.stats` counts what actually ran — ``traces_computed`` is the
 number of workload functional simulations this engine performed.  With a
@@ -116,7 +113,6 @@ class EngineStats:
 # ----------------------------------------------------------------------
 # Worker-process entry points (module-level: picklable under spawn too)
 # ----------------------------------------------------------------------
-_WORKER_TRACES: Dict[TraceKey, dict] = {}
 _WORKER_KERNELS: Dict[TraceKey, KernelInstance] = {}
 #: (workload, scale) -> shared placement memo: the CDFG and therefore
 #: every block's placement is seed-independent, so one worker prices a
@@ -141,72 +137,62 @@ def _register_kernel_documents(documents) -> None:
     )
 
 
-def _trace_job(key: TraceKey) -> Tuple[TraceKey, dict]:
-    """Interpret one workload, verify it, return its trace payload."""
+def _interpret(key: TraceKey) -> Tuple[WorkloadInstance, dict]:
+    """Interpret one workload, verify it; its instance and trace payload."""
     short, scale, seed = key
     try:
         instance = get_workload(short).instance(scale, seed=seed)
         instance.check()
-        return key, instance.run().trace.to_payload()
+        return instance, instance.run().trace.to_payload()
+    except EngineError:
+        raise
     except Exception as error:
         raise _trace_error(key, error) from error
 
 
-def _init_sim_worker(traces: Dict[TraceKey, dict],
-                     kernel_documents=None) -> None:
-    global _WORKER_TRACES, _WORKER_KERNELS, _WORKER_PLACEMENTS
-    _WORKER_TRACES = traces
-    _WORKER_KERNELS = {}
-    _WORKER_PLACEMENTS = {}
-    _register_kernel_documents(kernel_documents)
+def _trace_job(key: TraceKey) -> dict:
+    """Pool task: one workload's verified trace payload."""
+    return _interpret(key)[1]
 
 
-def _kernel_from_payload(key: TraceKey, payload: dict) -> KernelInstance:
+def _build_kernel(key: TraceKey, payload: dict,
+                  placement_pools: Dict[Tuple[str, str], Dict],
+                  cdfg=None) -> KernelInstance:
+    """Bind a trace payload to its CDFG (rebuilt unless given).
+
+    The kernel shares the ``(workload, scale)`` placement memo in
+    ``placement_pools`` with every other kernel of the same CDFG.
+    """
     short, scale, _seed = key
-    workload = get_workload(short)
-    cdfg = workload.build(workload.sizes(scale))
+    if cdfg is None:
+        workload = get_workload(short)
+        cdfg = workload.build(workload.sizes(scale))
     kernel = KernelInstance(cdfg, DynamicTrace.from_payload(payload))
-    kernel.share_placements(
-        _WORKER_PLACEMENTS.setdefault((short, scale), {})
-    )
+    kernel.share_placements(placement_pools.setdefault((short, scale), {}))
     return kernel
-
-
-def _simulate_with_memo(spec: RunSpec, trace_payload: dict) -> dict:
-    """Price one spec, memoising its kernel instance per worker."""
-    key = spec.trace_key()
-    kernel = _WORKER_KERNELS.get(key)
-    if kernel is None:
-        kernel = _kernel_from_payload(key, trace_payload)
-        _WORKER_KERNELS[key] = kernel
-    return spec.model.build(spec.params).simulate(kernel).to_payload()
-
-
-def _sim_job(item: Tuple[int, RunSpec]) -> Tuple[int, dict]:
-    """Batch-mode pricing: traces come from worker initializer state."""
-    index, spec = item
-    try:
-        return index, _simulate_with_memo(
-            spec, _WORKER_TRACES[spec.trace_key()]
-        )
-    except Exception as error:
-        raise _sim_error(spec, error) from error
 
 
 def _stream_sim_chunk(specs: Sequence[RunSpec],
                       trace_payload: dict) -> List[dict]:
-    """Streaming-mode pricing: the trace rides along with the task.
+    """Pool task: price a chunk of one trace's specs.
 
-    Streaming submits simulations the moment a trace lands, before a
-    batch-wide trace table exists, so the payload is an argument instead
-    of worker initializer state.  One task carries a *chunk* of the
-    trace's specs so the payload is pickled at most once per worker, not
-    once per parameter point.
+    The trace payload is an argument, so a spec can be priced as soon as
+    its trace lands.  One task carries a *chunk* of the trace's specs so
+    the payload is pickled at most once per worker, not once per
+    parameter point; the worker memoises the kernel it builds from it.
     """
     results = []
     for spec in specs:
         try:
-            results.append(_simulate_with_memo(spec, trace_payload))
+            key = spec.trace_key()
+            kernel = _WORKER_KERNELS.get(key)
+            if kernel is None:
+                kernel = _WORKER_KERNELS[key] = _build_kernel(
+                    key, trace_payload, _WORKER_PLACEMENTS
+                )
+            results.append(
+                spec.model.build(spec.params).simulate(kernel).to_payload()
+            )
         except Exception as error:
             raise _sim_error(spec, error) from error
     return results
@@ -268,15 +254,7 @@ class Engine:
     # -- traces ----------------------------------------------------------
     def _compute_trace(self, key: TraceKey) -> None:
         """Interpret + verify one workload in-process, cache the trace."""
-        short, scale, seed = key
-        try:
-            instance = get_workload(short).instance(scale, seed=seed)
-            instance.check()
-            payload = instance.run().trace.to_payload()
-        except EngineError:
-            raise
-        except Exception as error:
-            raise _trace_error(key, error) from error
+        instance, payload = _interpret(key)
         self._instances[key] = instance
         self._store_trace(key, payload)
 
@@ -302,8 +280,8 @@ class Engine:
 
         Spawn-started pool workers cannot resolve ``kernel:`` tokens
         unless their initializer re-registers the documents; this
-        collects them (token -> canonical document) for the pool
-        ``initargs``.  Empty (without importing repro.kernels) when the
+        collects them (token -> canonical document) for
+        :meth:`_pool`.  Empty (without importing repro.kernels) when the
         batch has no external kernels.
         """
         tokens = {
@@ -318,20 +296,21 @@ class Engine:
 
         return {token: document_for(token) for token in kernel_tokens}
 
+    def _pool(self, workers: int, keys) -> ProcessPoolExecutor:
+        """A worker pool whose workers resolve every workload in ``keys``."""
+        return ProcessPoolExecutor(
+            max_workers=workers, mp_context=_pool_context(),
+            initializer=_register_kernel_documents,
+            initargs=(self._kernel_documents(keys),),
+        )
+
     def _ensure_traces(self, keys: Set[TraceKey]) -> None:
         missing = [k for k in sorted(keys) if not self._lookup_trace(k)]
-        if not missing:
-            return
         if self.jobs > 1 and len(missing) > 1:
-            ctx = _pool_context()
-            with ctx.Pool(
-                min(self.jobs, len(missing)),
-                initializer=_register_kernel_documents,
-                initargs=(self._kernel_documents(missing),),
-            ) as pool:
-                computed = list(pool.imap_unordered(_trace_job, missing))
-            for key, payload in computed:
-                self._store_trace(key, payload)
+            with self._pool(min(self.jobs, len(missing)), missing) as pool:
+                for key, payload in zip(missing,
+                                        pool.map(_trace_job, missing)):
+                    self._store_trace(key, payload)
         else:
             for key in missing:
                 self._compute_trace(key)
@@ -339,22 +318,11 @@ class Engine:
     def _kernel(self, key: TraceKey) -> KernelInstance:
         if key not in self._kernels:
             self._ensure_traces({key})
-            payload = self._trace_payloads[key]
             instance = self._instances.get(key)
-            if instance is not None:
-                cdfg = instance.cdfg
-            else:
-                short, scale, _seed = key
-                workload = get_workload(short)
-                cdfg = workload.build(workload.sizes(scale))
-            kernel = KernelInstance(
-                cdfg, DynamicTrace.from_payload(payload)
+            self._kernels[key] = _build_kernel(
+                key, self._trace_payloads[key], self._placement_pools,
+                cdfg=instance.cdfg if instance is not None else None,
             )
-            short, scale, _seed = key
-            kernel.share_placements(
-                self._placement_pools.setdefault((short, scale), {})
-            )
-            self._kernels[key] = kernel
         return self._kernels[key]
 
     def kernel_run(self, workload: Workload, scale: str = "small",
@@ -390,67 +358,12 @@ class Engine:
         self.cache.put(spec.cache_key(), outcome.to_payload())
 
     def execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Run every spec; results come back in spec order."""
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        pending: Dict[RunSpec, List[int]] = {}
-        for index, spec in enumerate(specs):
-            cached, from_memo = self._lookup_cycles(spec)
-            if cached is not None:
-                # Memo re-reads within this engine (run_all prefetches,
-                # then each experiment looks its specs up again) are not
-                # evidence of a warm cache — count them apart.
-                if from_memo:
-                    self.stats.sim_memo_hits += 1
-                else:
-                    self.stats.sim_cache_hits += 1
-                results[index] = RunResult(spec, cached, cached=True)
-            else:
-                pending.setdefault(spec, []).append(index)
+        """Run every spec; results come back in spec order.
 
-        if pending:
-            order = list(pending)
-            self._ensure_traces({spec.trace_key() for spec in order})
-            if self.jobs > 1 and len(order) > 1:
-                needed = {spec.trace_key() for spec in order}
-                traces = {k: self._trace_payloads[k] for k in needed}
-                # Group a kernel's specs into one chunk so each worker
-                # builds (and analyses) as few kernel instances as
-                # possible.
-                items = sorted(enumerate(order),
-                               key=lambda item: item[1].trace_key())
-                workers = min(self.jobs, len(order))
-                chunk = -(-len(items) // workers)
-                ctx = _pool_context()
-                with ctx.Pool(
-                    workers,
-                    initializer=_init_sim_worker,
-                    initargs=(traces, self._kernel_documents(needed)),
-                ) as pool:
-                    computed = list(pool.imap_unordered(
-                        _sim_job, items, chunksize=chunk
-                    ))
-                by_index = dict(computed)
-                outcomes = [
-                    CycleResult.from_payload(by_index[i])
-                    for i in range(len(order))
-                ]
-            else:
-                outcomes = []
-                for spec in order:
-                    try:
-                        model = spec.model.build(spec.params)
-                        outcomes.append(
-                            model.simulate(self._kernel(spec.trace_key()))
-                        )
-                    except Exception as error:
-                        raise _sim_error(spec, error) from error
-            self.stats.simulations += len(order)
-            for spec, outcome in zip(order, outcomes):
-                self._store_cycles(spec, outcome)
-                for index in pending[spec]:
-                    results[index] = RunResult(spec, outcome, cached=False)
-
-        return list(results)
+        The collected :meth:`stream`: same work, same failure contract.
+        """
+        results = dict(self.stream(specs))
+        return [results[index] for index in range(len(specs))]
 
     # -- streaming -------------------------------------------------------
     def stream(self, specs: Sequence[RunSpec]
@@ -460,11 +373,11 @@ class Engine:
         Every input position is yielded exactly once (duplicates of one
         spec share a single simulation but each position still gets its
         pair); cached specs come first, in index order, then computed
-        specs in completion order.  Unlike :meth:`execute`, a spec is
-        priced the moment its trace lands — there is no batch-wide trace
-        barrier — so time-to-first-result is one trace plus one worker's
-        chunk of model evaluations, not the whole batch.  Collect and index-sort the
-        pairs to recover the deterministic :meth:`execute` ordering.
+        specs in completion order.  A spec is priced the moment its trace
+        lands — there is no batch-wide trace barrier — so
+        time-to-first-result is one trace plus one worker's chunk of
+        model evaluations, not the whole batch.  :meth:`execute` collects
+        and index-sorts the pairs.
 
         A failing worker raises :class:`~repro.errors.EngineError` naming
         the spec; records already completed are in the cache (writes are
@@ -474,6 +387,9 @@ class Engine:
         for index, spec in enumerate(specs):
             cached, from_memo = self._lookup_cycles(spec)
             if cached is not None:
+                # Memo re-reads within this engine (run_all prefetches,
+                # then each experiment looks its specs up again) are not
+                # evidence of a warm cache — count them apart.
                 if from_memo:
                     self.stats.sim_memo_hits += 1
                 else:
@@ -513,11 +429,7 @@ class Engine:
                          pending: Dict[RunSpec, List[int]]
                          ) -> Iterator[Tuple[int, RunResult]]:
         workers = min(self.jobs, len(pending) + len(missing))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context(),
-            initializer=_register_kernel_documents,
-            initargs=(self._kernel_documents(groups),),
-        ) as pool:
+        with self._pool(workers, groups) as pool:
             trace_futures: Dict[object, TraceKey] = {}
             sim_futures: Dict[object, List[RunSpec]] = {}
 
@@ -555,8 +467,7 @@ class Engine:
                             key = trace_futures[future]
                             if error is not None:
                                 raise _trace_error(key, error) from error
-                            _key, payload = future.result()
-                            self._store_trace(key, payload)
+                            self._store_trace(key, future.result())
                             outstanding.update(submit_sims(key))
                         else:
                             chunk = sim_futures[future]

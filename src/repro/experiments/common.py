@@ -86,8 +86,6 @@ class SuiteContext:
     convenience binding of a scale/seed pair to the engine.
     """
 
-    _cache: Dict[tuple, "SuiteContext"] = {}
-
     def __init__(self, scale: str = "small", seed: int = 0,
                  params: ArchParams = DEFAULT_PARAMS,
                  engine: Optional[Engine] = None) -> None:
@@ -99,14 +97,6 @@ class SuiteContext:
     @property
     def engine(self) -> Engine:
         return self._engine or default_engine()
-
-    @classmethod
-    def get(cls, scale: str = "small", seed: int = 0,
-            params: ArchParams = DEFAULT_PARAMS) -> "SuiteContext":
-        key = (scale, seed, params)
-        if key not in cls._cache:
-            cls._cache[key] = cls(scale, seed, params)
-        return cls._cache[key]
 
     # ------------------------------------------------------------------
     def run_of(self, workload: Workload) -> KernelRun:

@@ -4,10 +4,10 @@
 figures in one pass (the content recorded in EXPERIMENTS.md).
 
 :func:`run_all` collects the :class:`RunSpec` batches of every experiment
-first and executes them through one engine, so the nine figures share every
-functional trace and — with ``repro bench --jobs N`` — run their model
-evaluations in parallel before the tables are assembled serially in paper
-order.
+first and executes them in one engine call, so the nine figures share every
+functional trace and — with ``repro bench --jobs N`` — one worker pool
+prices each spec as soon as its trace lands; the tables are then assembled
+serially in paper order.
 """
 
 from __future__ import annotations

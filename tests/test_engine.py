@@ -218,6 +218,17 @@ class TestParallelExecution:
         assert warm.stats.simulations == 0
         assert warm.stats.sim_cache_hits == len(specs)
 
+    def test_parallel_prefetch_computes_each_trace_once(self, tmp_path):
+        specs = _mixed_geometry_sweep()
+        distinct = {spec.trace_key() for spec in specs}
+        serial = Engine(cache_dir=tmp_path / "b", jobs=1)
+        serial.prefetch_traces(specs)
+        parallel = Engine(cache_dir=tmp_path / "a", jobs=2)
+        parallel.prefetch_traces(specs)
+        assert parallel.stats.traces_computed == len(distinct)
+        assert parallel.stats.simulations == 0
+        assert _cache_files(tmp_path / "a") == _cache_files(tmp_path / "b")
+
 
 class TestPlacementPool:
     def test_seeds_of_one_workload_share_one_placement_pool(self):

@@ -1,12 +1,13 @@
-"""Streaming-mode tests: exactly-once delivery, batch equivalence,
-and the crash-mid-stream failure path.
+"""Streaming tests: exactly-once delivery, batch equivalence, and the
+crash-mid-stream failure path.
 
-``Engine.stream`` changes *when* results surface, never *what* they
-are: every input position must be yielded exactly once, collecting the
-pairs must reproduce ``Engine.execute``'s payloads, and the rendered
-report must be byte-identical to batch mode.  A worker crash must
-surface as one clean :class:`EngineError` and leave the on-disk cache
-fully readable.
+``Engine.stream`` is the engine's one execution path and
+``Engine.execute`` collects it, so streaming changes *when* results
+surface, never *what* they are: every input position must be yielded
+exactly once, collecting the pairs must reproduce ``Engine.execute``'s
+payloads, and the streamed report must be byte-identical to a plain
+one.  A worker crash must surface as one clean :class:`EngineError` and
+leave the on-disk cache fully readable.
 """
 
 from __future__ import annotations
@@ -168,6 +169,17 @@ class TestCrashMidStream:
         engine = Engine(cache_dir=tmp_path, jobs=jobs)
         with pytest.raises(EngineError, match="no_such_kernel"):
             engine.execute(good + [bad])
+
+    def test_failing_execute_keeps_the_records_it_completed(self, tmp_path):
+        # The bad spec's trace key sorts last, so a serial run prices
+        # every good spec before it fails: those records must survive.
+        good = _specs()
+        bad = RunSpec("no_such_kernel", "tiny", 0, VN, DEFAULT_PARAMS)
+        with pytest.raises(EngineError, match="no_such_kernel"):
+            Engine(cache_dir=tmp_path, jobs=1).execute(good + [bad])
+        fresh = Engine(cache_dir=tmp_path)
+        fresh.execute(good)
+        assert fresh.stats.simulations == 0
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_cache_survives_a_crashed_stream(self, jobs, tmp_path):
