@@ -6,10 +6,13 @@ Greedy producer-proximity placement with a local-search improvement pass:
    the free PE minimising the Manhattan distance to its producers' PEs
    (falling back to round-robin sharing once PEs run out — resource
    time-multiplexing raises the II).
-2. A bounded pairwise-swap pass reduces total wirelength.
-3. The placed edges are routed on the mesh (XY); the initiation interval is
-   ``max(ops-per-PE, link congestion)`` and the drain is the DFG critical
-   path plus the longest routed transfer.
+2. A bounded pairwise-swap pass minimises ``(link congestion,
+   wirelength)`` over the XY-routed edges.  The objective is kept
+   incrementally: per-link loads and the total wirelength are updated for
+   only the edges touching the swapped pair.
+3. The initiation interval is ``max(ops-per-PE, link congestion)`` and the
+   drain is the DFG critical path plus the longest routed transfer, both
+   read from the swap pass's final link state.
 
 Nonlinear operators (LOG/EXP/...) must land on nonlinear-capable PEs — the
 prototype has four (Table 4); placement reserves the last PEs of the region
@@ -18,10 +21,10 @@ for them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlacementError
-from repro.arch.network.mesh import DataMesh
 from repro.arch.params import ArchParams
 from repro.arch.topology import Coord, Grid
 from repro.ir.cfg import BasicBlock
@@ -69,8 +72,9 @@ def place_block(
     if not fu_nodes:
         return BBPlacement(block.block_id, {}, ii=1, depth_cycles=0)
 
+    region_set = set(region_list)
     nonlinear_pool = [
-        c for c in _nonlinear_capable(grid, params) if c in set(region_list)
+        c for c in _nonlinear_capable(grid, params) if c in region_set
     ]
     needs_nonlinear = [
         n for n in fu_nodes if n.info.op_class is OpClass.NONLINEAR
@@ -103,84 +107,132 @@ def place_block(
         assignment[node.node_id] = best
         load[best] += 1
 
-    _improve(assignment, block, grid, params)
-
-    mesh = DataMesh(grid, hop_latency=params.mesh_hop_latency)
-    longest_transfer = 0
-    op_ids = set(assignment)
-    for node in fu_nodes:
-        for operand in node.operands:
-            if operand not in op_ids:
-                continue
-            src, dst = assignment[operand], assignment[node.node_id]
-            if src == dst:
-                continue
-            edge = mesh.route(src, dst)
-            longest_transfer = max(longest_transfer, mesh.latency(edge))
+    congestion_ii, longest_transfer = _improve(
+        assignment, block, grid, params,
+    )
 
     resource_ii = max(load.values()) if load else 1
-    ii = max(1, resource_ii, mesh.congestion_ii())
+    ii = max(1, resource_ii, congestion_ii)
     depth = block.dfg.critical_path_length() + longest_transfer
     return BBPlacement(
         block.block_id, assignment, ii=ii, depth_cycles=depth,
     )
 
 
+class _XYRoutes(dict):
+    """XY routes of one grid, filled on first use.
+
+    Key ``src * size + dst`` over row-major PE indices; value ``(hops,
+    link ids)``.  The directed link leaving PE ``p`` eastward, westward,
+    southward or northward has id ``4 * p`` + 0, 1, 2 or 3, so ids stay
+    below ``4 * size`` and do not depend on the order routes are filled.
+    Filling on use keeps a large grid from paying for the ``size ** 2``
+    routes its placements never take.
+    """
+
+    def __init__(self, rows: int, cols: int) -> None:
+        super().__init__()
+        self.grid = Grid(rows, cols)
+
+    def __missing__(self, key: int) -> Tuple[int, Tuple[int, ...]]:
+        grid = self.grid
+        src, dst = divmod(key, grid.size)
+        path = [grid.index(c)
+                for c in grid.xy_path(grid.coord(src), grid.coord(dst))]
+        direction = {1: 0, -1: 1, grid.cols: 2, -grid.cols: 3}
+        links = tuple(4 * p + direction[q - p]
+                      for p, q in zip(path, path[1:]))
+        route = self[key] = (len(links), links)
+        return route
+
+
+@functools.lru_cache(maxsize=None)
+def _xy_routes(rows: int, cols: int) -> _XYRoutes:
+    """The route table of a ``rows x cols`` grid, shared process-wide."""
+    return _XYRoutes(rows, cols)
+
+
 def _improve(assignment: Dict[NodeId, Coord], block: BasicBlock,
-             grid: Grid, params: ArchParams) -> None:
+             grid: Grid, params: ArchParams) -> Tuple[int, int]:
     """Bounded pairwise swap pass minimising (link congestion, wirelength).
 
     Congestion is the binding term: a link shared by k routed edges forces
     the initiation interval to k, so trading wirelength for a lower maximum
     link load is always worth it.
+
+    The search runs on integers: node ``i`` of ``list(assignment)`` sits
+    on row-major PE ``pos[i]``, per-link loads live in a flat list, and
+    the wirelength is a running sum of XY hop counts.  A candidate swap
+    of ``a`` and ``b`` takes the edges touching either out of the loads
+    and the wirelength, swaps, and puts them back; it is kept only if
+    ``(max(1, max load), wirelength)`` strictly drops, and undone the same
+    way otherwise.  Updates ``assignment`` in place and returns the final
+    ``(congestion II, longest transfer latency)``.
     """
-    edges: List[Tuple[NodeId, NodeId]] = []
-    mapped = set(assignment)
+    nodes = list(assignment)
+    slot = {node: i for i, node in enumerate(nodes)}
+    srcs: List[int] = []
+    dsts: List[int] = []
+    touching: List[Set[int]] = [set() for _ in nodes]
     for node in block.dfg.fu_nodes:
         for operand in node.operands:
-            if operand in mapped:
-                edges.append((operand, node.node_id))
-    if not edges:
-        return
+            if operand in slot:
+                a, b = slot[operand], slot[node.node_id]
+                touching[a].add(len(srcs))
+                touching[b].add(len(srcs))
+                srcs.append(a)
+                dsts.append(b)
+    if not srcs:
+        return 1, 0
 
-    def objective() -> Tuple[int, int]:
-        mesh = DataMesh(grid, hop_latency=params.mesh_hop_latency)
+    size = grid.size
+    routes = _xy_routes(grid.rows, grid.cols)
+    coord_at = {grid.index(c): c for c in assignment.values()}
+    pos = [grid.index(assignment[node]) for node in nodes]
+    nonlinear = [
+        block.dfg.node(node).info.op_class is OpClass.NONLINEAR
+        for node in nodes
+    ]
+    loads = [0] * (4 * size)
+
+    def shift(edges, sign: int) -> int:
+        """Add (``sign=1``) or remove (``-1``) edges; the wirelength moved."""
         wire = 0
-        for a, b in edges:
-            src, dst = assignment[a], assignment[b]
-            if src == dst:
-                continue
-            mesh.route(src, dst)
-            wire += src.manhattan(dst)
-        return (mesh.congestion_ii(), wire)
+        for e in edges:
+            hops, links = routes[pos[srcs[e]] * size + pos[dsts[e]]]
+            wire += hops
+            for link in links:
+                loads[link] += sign
+        return sign * wire
 
-    nodes = list(assignment)
-    current = objective()
+    wire = shift(range(len(srcs)), 1)
+    current = (max(1, max(loads)), wire)
     for _ in range(_SWAP_ROUNDS):
         improved = False
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if assignment[a] == assignment[b]:
+        for a in range(len(nodes)):
+            for b in range(a + 1, len(nodes)):
+                # Nonlinear ops may not leave the nonlinear pool.
+                if pos[a] == pos[b] or nonlinear[a] != nonlinear[b]:
                     continue
-                if _swap_illegal(block, a, b):
-                    continue
-                assignment[a], assignment[b] = assignment[b], assignment[a]
-                candidate = objective()
+                moved = touching[a] | touching[b]
+                wire += shift(moved, -1)
+                pos[a], pos[b] = pos[b], pos[a]
+                wire += shift(moved, 1)
+                candidate = (max(1, max(loads)), wire)
                 if candidate < current:
                     current = candidate
                     improved = True
                 else:
-                    assignment[a], assignment[b] = (
-                        assignment[b], assignment[a]
-                    )
+                    wire += shift(moved, -1)
+                    pos[a], pos[b] = pos[b], pos[a]
+                    wire += shift(moved, 1)
         if not improved:
             break
 
-
-def _swap_illegal(block: BasicBlock, a: NodeId, b: NodeId) -> bool:
-    """Nonlinear ops may not leave the nonlinear pool via swapping."""
-    node_a = block.dfg.node(a)
-    node_b = block.dfg.node(b)
-    a_nl = node_a.info.op_class is OpClass.NONLINEAR
-    b_nl = node_b.info.op_class is OpClass.NONLINEAR
-    return a_nl != b_nl
+    for node, p in zip(nodes, pos):
+        assignment[node] = coord_at[p]
+    longest = max(routes[pos[s] * size + pos[d]][0]
+                  for s, d in zip(srcs, dsts))
+    # Injection + hops + ejection, as DataMesh.latency prices one transfer.
+    transfer = 1 + longest * params.mesh_hop_latency + 1 if longest else 0
+    return current[0], transfer

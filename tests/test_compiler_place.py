@@ -1,17 +1,28 @@
 """Placement, routing, reshape, and pipeline-arithmetic tests."""
 
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CompilationError, PlacementError
+from repro.arch.network.mesh import DataMesh
 from repro.arch.params import ArchParams
+from repro.arch.spec import load_arch
 from repro.arch.topology import Coord, Grid
+from repro.compiler import place
 from repro.compiler.mapping import BBPlacement
 from repro.compiler.pipeline import pipeline_cycles, serial_cycles, PipelineShape
 from repro.compiler.place import place_block
 from repro.compiler.reshape import pe_waste, reshape_placement, unroll_placement
 from repro.compiler.route import route_placement
 from repro.ir.builder import KernelBuilder
+from repro.ir.ops import OpClass
+from repro.workloads.suite import ALL_WORKLOADS
+
+ARCH_DIR = Path(__file__).resolve().parents[1] / "examples" / "arch"
 
 
 def body_block(cdfg, name_fragment="body"):
@@ -101,6 +112,179 @@ class TestRoutePlacement:
                     cross += 1
         assert len(routing.edges) == cross
         assert routing.congestion_ii >= 1
+
+
+def reference_improve(assignment, block, grid, params):
+    """Slow reference for ``place._improve``: full re-route per candidate.
+
+    Every candidate swap routes every edge of the block on a fresh
+    :class:`DataMesh` to score ``(congestion II, wirelength)``; one more
+    routing pass then reads the final congestion II and longest transfer.
+    """
+    edges = []
+    mapped = set(assignment)
+    for node in block.dfg.fu_nodes:
+        for operand in node.operands:
+            if operand in mapped:
+                edges.append((operand, node.node_id))
+
+    def route_all():
+        mesh = DataMesh(grid, hop_latency=params.mesh_hop_latency)
+        wire = 0
+        longest = 0
+        for a, b in edges:
+            src, dst = assignment[a], assignment[b]
+            if src == dst:
+                continue
+            routed = mesh.route(src, dst)
+            wire += src.manhattan(dst)
+            longest = max(longest, mesh.latency(routed))
+        return mesh.congestion_ii(), wire, longest
+
+    def swap_illegal(a, b):
+        a_nl = block.dfg.node(a).info.op_class is OpClass.NONLINEAR
+        b_nl = block.dfg.node(b).info.op_class is OpClass.NONLINEAR
+        return a_nl != b_nl
+
+    if edges:
+        nodes = list(assignment)
+        current = route_all()[:2]
+        for _ in range(place._SWAP_ROUNDS):
+            improved = False
+            for i, a in enumerate(nodes):
+                for b in nodes[i + 1:]:
+                    if assignment[a] == assignment[b]:
+                        continue
+                    if swap_illegal(a, b):
+                        continue
+                    assignment[a], assignment[b] = (
+                        assignment[b], assignment[a]
+                    )
+                    candidate = route_all()[:2]
+                    if candidate < current:
+                        current = candidate
+                        improved = True
+                    else:
+                        assignment[a], assignment[b] = (
+                            assignment[b], assignment[a]
+                        )
+            if not improved:
+                break
+    congestion_ii, _, longest = route_all()
+    return congestion_ii, longest
+
+
+def _outcome(block, params, region):
+    """The placement, or the :class:`PlacementError` message."""
+    try:
+        return place_block(block, params, region)
+    except PlacementError as exc:
+        return str(exc)
+
+
+def _comparable(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    return (outcome.assignment, outcome.ii, outcome.depth_cycles)
+
+
+def place_both(block, params, region=None):
+    """``place_block`` with the shipped swap pass and with the reference."""
+    fast = _outcome(block, params, region)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(place, "_improve", reference_improve)
+        slow = _outcome(block, params, region)
+    return fast, slow
+
+
+def _regions(params, seed):
+    """The whole grid, a random region, and a random region without a
+    nonlinear-capable PE."""
+    coords = list(Grid(params.rows, params.cols))
+    rng = random.Random(seed)
+    plain = coords[:len(coords) - params.nonlinear_pes]
+    return [
+        None,
+        rng.sample(coords, rng.randint(1, len(coords))),
+        rng.sample(plain, rng.randint(1, len(plain))),
+    ]
+
+
+@pytest.fixture(scope="module")
+def parity_sweep():
+    """Every small-scale block x every ``examples/arch`` spec x regions:
+    ``(block, params, shipped outcome, reference outcome)``."""
+    sweep = []
+    for path in sorted(ARCH_DIR.glob("*.json")):
+        params = load_arch(path).params
+        for workload in ALL_WORKLOADS:
+            regions = _regions(params, f"{workload.name}/{path.stem}")
+            for block in workload.instance("small").cdfg.blocks:
+                for region in regions:
+                    sweep.append(
+                        (block, params) + place_both(block, params, region)
+                    )
+    return sweep
+
+
+class TestSwapPassParity:
+    def test_matches_full_reroute_reference(self, parity_sweep):
+        mismatches = [
+            (block.name, fast, slow)
+            for block, _, fast, slow in parity_sweep
+            if _comparable(fast) != _comparable(slow)
+        ]
+        assert not mismatches, mismatches[:3]
+        outcomes = [fast for _, _, fast, _ in parity_sweep]
+        assert any(isinstance(o, str) for o in outcomes)
+        assert sum(isinstance(o, BBPlacement) and o.op_count > 1
+                   for o in outcomes) > 100
+
+    def test_ii_and_depth_match_an_independent_routing(self, parity_sweep):
+        for block, params, placement, _ in parity_sweep:
+            if isinstance(placement, str):
+                continue
+            routing = route_placement(block, placement, params)
+            pe_load = max(Counter(placement.assignment.values()).values(),
+                          default=1)
+            assert placement.ii == max(1, pe_load, routing.congestion_ii)
+            assert placement.depth_cycles == (
+                block.dfg.critical_path_length()
+                + routing.max_transfer_latency
+            )
+
+    _STEPS = st.lists(
+        st.tuples(st.sampled_from(["add", "mul", "square", "min", "exp"]),
+                  st.integers(0, 63), st.integers(0, 63)),
+        min_size=1, max_size=14,
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(_STEPS, st.sampled_from([4, 8]), st.integers(0, 2 ** 16))
+    def test_random_blocks_with_repeated_operands(self, steps, size, seed):
+        k = KernelBuilder("rand")
+        for name in ("a", "b", "out"):
+            k.array(name)
+        with k.loop("i", 0, 8) as i:
+            values = [k.load("a", i), k.load("b", i)]
+            for kind, x, y in steps:
+                u, v = values[x % len(values)], values[y % len(values)]
+                if kind == "add":
+                    values.append(u + v)
+                elif kind == "mul":
+                    values.append(u * v)
+                elif kind == "square":
+                    values.append(u * u)
+                elif kind == "min":
+                    values.append(k.minimum(u, v))
+                else:
+                    values.append(k.exp(u))
+            k.store("out", i, values[-1])
+        block = body_block(k.build())
+        params = ArchParams().scaled(size, size)
+        for region in _regions(params, seed):
+            fast, slow = place_both(block, params, region)
+            assert _comparable(fast) == _comparable(slow)
 
 
 class TestReshape:
