@@ -11,6 +11,12 @@ blocks — either serialised between the inner-loop bursts (conventional
 architectures) or pipelined and overlapped with them (Agile PE Assignment;
 the two concurrent streams cost ``max`` instead of ``sum``).
 
+A :class:`KernelInstance` binds a sealed CDFG to one trace.  The CDFG
+keeps its own structure (loop levels with their own blocks, branch
+regions); the per-loop facts the models read on top of it (carried
+recurrences, sibling exchanges) are tables the instance fills once, when
+it is built.
+
 The knobs in :class:`ModelConfig` are the paper's mechanisms:
 
 =====================  =====================================================
@@ -39,8 +45,8 @@ outer_pipelined        Agile PE Assignment pipelines outer BBs and overlaps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import CompilationError
 from repro.arch.params import ArchParams
@@ -55,7 +61,15 @@ from repro.ir.trace import DynamicTrace
 # Kernel instance: CDFG + trace + derived statistics
 # ----------------------------------------------------------------------
 class KernelInstance:
-    """A kernel bound to one dynamic execution, with cached analyses."""
+    """A kernel bound to one dynamic execution, with its per-nest
+    structure derived once.
+
+    :meth:`__init__` fills one table per loop-carried fact, in a single
+    pass over the loop nests: the recurrence over each loop's own blocks,
+    the recurrence threaded through its nested loops, and whether it
+    exchanges scalars with a sibling loop.  The execution models read
+    them as plain lookups.
+    """
 
     def __init__(self, cdfg: CDFG, trace: DynamicTrace) -> None:
         self.cdfg = cdfg
@@ -64,14 +78,34 @@ class KernelInstance:
         self.nests = cdfg.loop_nests()
         self._arm_groups = self._find_arm_groups()
         self._placement_ii: Dict[Tuple[BlockId, int, int, int], int] = {}
+        self._under_branch = cdfg.under_branch_blocks()
         self._recurrence: Dict[BlockId, int] = {}
         self._threaded: Dict[BlockId, int] = {}
         self._serial_sibling: Dict[BlockId, bool] = {}
+        for header, nest in self.nests.items():
+            own = self._recurrence_over(nest.own_blocks)
+            self._recurrence[header] = own
+            # An innermost loop's own blocks are all of its blocks.
+            self._threaded[header] = (
+                self._recurrence_over(nest.blocks) if nest.children else own
+            )
+            self._serial_sibling[header] = self._exchanges_with_sibling(nest)
 
     def recurrence_of(self, nest: LoopNest) -> int:
-        """Cached :meth:`recurrence_chain`."""
-        if nest.header not in self._recurrence:
-            self._recurrence[nest.header] = self.recurrence_chain(nest)
+        """Latency of the longest loop-carried control/address dependence.
+
+        A variable assigned in the loop and read *earlier in iteration
+        order* (or by the header condition) carries a value between
+        iterations.  If that value feeds a branch condition or a memory
+        address, the next iteration cannot issue until the chain resolves —
+        the paper's "data-dependent pipeline II" (Section 7.3: FFT and
+        Viterbi are limited to II = 2; CRC/ADPCM/Merge Sort are "only
+        partially pipelined").  Pure arithmetic accumulators (GEMM's
+        ``acc``) do not constrain the II: they reduce in place on one PE.
+
+        Returns the chain latency in cycles over the loop's own blocks
+        (0 when no such recurrence).
+        """
         return self._recurrence[nest.header]
 
     def threaded_recurrence(self, nest: LoopNest) -> int:
@@ -82,14 +116,9 @@ class KernelInstance:
         child bursts of consecutive iterations serialise: no outer/inner
         overlap, no armed-pipeline reuse, whatever the scheduler does.
         """
-        if nest.header not in self._threaded:
-            self._threaded[nest.header] = self._recurrence_over(
-                nest.header, set(nest.blocks)
-            )
         return self._threaded[nest.header]
 
-    def _recurrence_over(self, header_id: BlockId,
-                         blocks: Set[BlockId]) -> int:
+    def _recurrence_over(self, blocks: Set[BlockId]) -> int:
         """Carried control/address chain over an explicit block set.
 
         Two passes over one iteration (block-id order = program order):
@@ -126,7 +155,6 @@ class KernelInstance:
             if var not in counter_vars
         }
 
-        under_branch = self.cdfg.under_branch_blocks()
         taint: Dict[str, int] = {}   # variable -> taint depth (cycles)
         chain = 0
         for pos, bid in enumerate(own):
@@ -164,7 +192,7 @@ class KernelInstance:
             # merge, unconditional ones replace).
             for var, node_id in block.outputs.items():
                 new_taint = depth.get(node_id)
-                if bid in under_branch:
+                if bid in self._under_branch:
                     if new_taint is not None:
                         taint[var] = max(taint.get(var, 0), new_taint)
                 else:
@@ -190,9 +218,8 @@ class KernelInstance:
         reads through affine ops — no loads, compares, or selections.  They
         do not constrain the pipeline II.
         """
-        under_branch = self.cdfg.under_branch_blocks()
         for _pos, bid, node_id in writes_of_var:
-            if bid in under_branch:
+            if bid in self._under_branch:
                 return False
             block = self.cdfg.block(bid)
             stack = [node_id]
@@ -213,16 +240,12 @@ class KernelInstance:
         siblings re-synchronise every parent iteration, so Control FIFOs
         cannot keep their pipelines armed across entries — the paper's
         "limitations of data dependencies between loops (LDPC)"."""
-        if nest.parent is None:
-            return False
-        if nest.header not in self._serial_sibling:
-            parent = self.nests[nest.parent]
-            self._serial_sibling[nest.header] = self._computes_serial(
-                nest, parent
-            )
         return self._serial_sibling[nest.header]
 
-    def _computes_serial(self, nest: LoopNest, parent: LoopNest) -> bool:
+    def _exchanges_with_sibling(self, nest: LoopNest) -> bool:
+        if nest.parent is None:
+            return False
+
         def vars_written(blocks: Set[BlockId]) -> Set[str]:
             out: Set[str] = set()
             for bid in blocks:
@@ -243,7 +266,7 @@ class KernelInstance:
 
         mine_w = vars_written(nest.blocks)
         mine_r = vars_read(nest.blocks)
-        for sibling_header in parent.children:
+        for sibling_header in self.nests[nest.parent].children:
             if sibling_header == nest.header:
                 continue
             sib = self.nests[sibling_header]
@@ -282,46 +305,6 @@ class KernelInstance:
             self._placement_ii[key] = placement.ii
         return self._placement_ii[key]
 
-    # -- loop-carried recurrences -----------------------------------------
-    def recurrence_chain(self, nest: LoopNest) -> int:
-        """Latency of the longest loop-carried control/address dependence.
-
-        A variable assigned in the loop and read *earlier in iteration
-        order* (or by the header condition) carries a value between
-        iterations.  If that value feeds a branch condition or a memory
-        address, the next iteration cannot issue until the chain resolves —
-        the paper's "data-dependent pipeline II" (Section 7.3: FFT and
-        Viterbi are limited to II = 2; CRC/ADPCM/Merge Sort are "only
-        partially pipelined").  Pure arithmetic accumulators (GEMM's
-        ``acc``) do not constrain the II: they reduce in place on one PE.
-
-        Returns the chain latency in cycles (0 when no such recurrence).
-        """
-        return self._recurrence_over(
-            nest.header, nest.own_blocks(self.nests)
-        )
-
-    @staticmethod
-    def _control_chain(block, input_id: int) -> int:
-        """Longest latency path from ``input_id`` to a control/address sink
-        (branch condition or memory op) within the block; 0 if none."""
-        dfg = block.dfg
-        dist: Dict[int, int] = {input_id: 0}
-        for node in dfg.nodes:
-            if node.node_id == input_id:
-                continue
-            reach = [dist[o] for o in node.operands if o in dist]
-            if reach:
-                dist[node.node_id] = max(reach) + node.info.latency
-        sinks = []
-        term = block.terminator
-        if isinstance(term, Branch) and term.cond in dist:
-            sinks.append(dist[term.cond])
-        for node in dfg.nodes:
-            if node.info.is_memory and node.node_id in dist:
-                sinks.append(dist[node.node_id])
-        return max(sinks, default=0)
-
     @property
     def name(self) -> str:
         return self.cdfg.name
@@ -353,9 +336,6 @@ class KernelInstance:
             if bid not in in_arms:
                 total += self.cdfg.block(bid).op_count
         return total
-
-    def own_blocks(self, nest: LoopNest) -> Set[BlockId]:
-        return nest.own_blocks(self.nests)
 
     def iteration_depth(self, blocks: Set[BlockId],
                         transfer: int) -> int:
@@ -552,11 +532,10 @@ class ArchModel:
         if cfg.static_whole_kernel:
             resident = kernel.total_static_ops()
         else:
-            resident = kernel.ops_of_blocks(
-                kernel.own_blocks(nest), merge_arms=cfg.arms_share_pes
-            )
+            resident = kernel.ops_of_blocks(nest.own_blocks,
+                                            merge_arms=cfg.arms_share_pes)
         ii = max(1, math.ceil(resident / self.params.n_pes))
-        for bid in kernel.own_blocks(nest):
+        for bid in nest.own_blocks:
             if kernel.cdfg.block(bid).op_count > 1:
                 ii = max(ii, kernel.placement_ii(bid, self.params))
         ii = max(ii, self.recurrence_ii(kernel, nest))
@@ -595,10 +574,8 @@ class ArchModel:
             # after every block is resident.
             ops = kernel.total_static_ops()
         else:
-            ops = kernel.ops_of_blocks(
-                kernel.own_blocks(nest),
-                merge_arms=self.config.arms_share_pes,
-            )
+            ops = kernel.ops_of_blocks(nest.own_blocks,
+                                       merge_arms=self.config.arms_share_pes)
         if ops == 0:
             return 1
         return max(1, self.params.n_pes // max(1, ops))
@@ -623,15 +600,14 @@ class ArchModel:
         )
 
     def _drain_of(self, kernel: KernelInstance, nest: LoopNest) -> int:
-        return kernel.iteration_depth(
-            kernel.own_blocks(nest), self.params.data_net_latency
-        )
+        return kernel.iteration_depth(nest.own_blocks,
+                                      self.params.data_net_latency)
 
     def _outer_iter_cost(self, kernel: KernelInstance,
                          nest: LoopNest) -> int:
         """Serial per-iteration cost of a non-innermost loop's own work."""
         cfg = self.config
-        own = kernel.own_blocks(nest)
+        own = nest.own_blocks
         ops = kernel.ops_of_blocks(own, merge_arms=cfg.arms_share_pes)
         depth = kernel.iteration_depth(own, self.params.data_net_latency)
         if cfg.outer_pe_limit is not None and ops > cfg.outer_pe_limit:

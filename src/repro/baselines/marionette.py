@@ -18,14 +18,13 @@ are produced by the actual mapping algorithm, not by a closed-form guess.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 from repro.arch.params import ArchParams
 from repro.baselines.base import ArchModel, KernelInstance, ModelConfig
 from repro.compiler.mapping import Schedule
 from repro.compiler.schedule import MarionetteScheduler
-from repro.ir.cdfg import LoopNest
+from repro.ir.cdfg import CDFG, LoopNest
 from repro.ir.cfg import BlockRole
 
 
@@ -56,7 +55,9 @@ class MarionetteModel(ArchModel):
         ))
         self.agile = agile
         self._scheduler = MarionetteScheduler(params, enable_agile=agile)
-        self._schedules: Dict[str, Schedule] = {}
+        #: keyed by the CDFG object the schedule is computed from: two
+        #: kernels may share a name
+        self._schedules: Dict[CDFG, Schedule] = {}
 
     @staticmethod
     def _label(proactive: bool, network: bool, agile: bool) -> str:
@@ -71,19 +72,18 @@ class MarionetteModel(ArchModel):
 
     # ------------------------------------------------------------------
     def _schedule_for(self, kernel: KernelInstance) -> Schedule:
-        if kernel.name not in self._schedules:
-            self._schedules[kernel.name] = self._scheduler.schedule(
-                kernel.cdfg
-            )
-        return self._schedules[kernel.name]
+        schedule = self._schedules.get(kernel.cdfg)
+        if schedule is None:
+            schedule = self._scheduler.schedule(kernel.cdfg)
+            self._schedules[kernel.cdfg] = schedule
+        return schedule
 
     # ------------------------------------------------------------------
     def body_ii(self, kernel: KernelInstance, nest: LoopNest) -> int:
         """II from the real placements of the nest's own blocks."""
         schedule = self._schedule_for(kernel)
-        own = kernel.own_blocks(nest)
         iis = []
-        for bid in own:
+        for bid in nest.own_blocks:
             placement = schedule.placement_of(bid)
             if placement is not None and placement.op_count > 0:
                 iis.append(placement.ii)
@@ -101,7 +101,7 @@ class MarionetteModel(ArchModel):
             return 1
         schedule = self._schedule_for(kernel)
         unrolls = []
-        for bid in kernel.own_blocks(nest):
+        for bid in nest.own_blocks:
             if kernel.cdfg.block(bid).role is BlockRole.LOOP_HEADER:
                 continue  # the loop operator replicates with its body
             placement = schedule.placement_of(bid)

@@ -30,7 +30,7 @@ from repro.arch.topology import Coord, Grid
 from repro.ir.cdfg import CDFG, LoopNest
 from repro.ir.cfg import BasicBlock, BlockId, BlockRole, Branch
 from repro.compiler.mapping import BBPlacement, LevelSchedule, Schedule
-from repro.compiler.place import place_block
+from repro.compiler.place import _nonlinear_capable, place_block
 from repro.compiler.reshape import pe_waste, reshape_placement, unroll_placement
 
 
@@ -67,7 +67,7 @@ class MarionetteScheduler:
     def _schedule_nest(self, cdfg: CDFG, nest: LoopNest,
                        partial: Schedule) -> LevelSchedule:
         level = LevelSchedule(depth=nest.depth)
-        own = sorted(nest.own_blocks(cdfg.loop_nests()))
+        own = sorted(nest.own_blocks)
         free: List[Coord] = list(self.grid)
 
         merged_arms = self._merge_groups(cdfg, own)
@@ -119,8 +119,7 @@ class MarionetteScheduler:
         try:
             return place_block(block, self.params, region_list)
         except PlacementError:
-            coords = list(self.grid)
-            pool = coords[len(coords) - self.params.nonlinear_pes:]
+            pool = _nonlinear_capable(self.grid, self.params)
             widened = region_list + [c for c in pool if c not in region_list]
             return place_block(block, self.params, widened)
 

@@ -1,8 +1,15 @@
-"""The combined CDFG: a CFG whose blocks embed DFGs, plus loop-nest analysis.
+"""The combined CDFG: a CFG whose blocks embed DFGs, plus its structure.
 
 :class:`LoopNest` is the unit the Marionette scheduler works at (paper
 Fig. 8): scheduling proceeds innermost loop level to outermost, mapping the
 basic blocks of each level and time-extending leftovers.
+
+A CDFG is sealed once built: its CFG never changes afterwards.  The two
+structural facts every execution model prices the paper's control-flow
+problems through are therefore derived once, on first use, and kept on
+the CDFG: the loop-nest tree (each level with its own blocks, for
+*Imperfect Loops*) and the divergent region of every non-loop branch (for
+*Branch Divergence*).  Each costs one dominator pass.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ class LoopNest:
         depth: Nesting depth; 1 for outermost loops.
         parent: Header id of the enclosing loop, or ``None``.
         children: Headers of directly nested loops.
+        own_blocks: Blocks belonging to this loop level but not to any
+            inner loop.
     """
 
     header: BlockId
@@ -31,13 +40,7 @@ class LoopNest:
     depth: int = 1
     parent: Optional[BlockId] = None
     children: List[BlockId] = field(default_factory=list)
-
-    def own_blocks(self, nests: Dict[BlockId, "LoopNest"]) -> Set[BlockId]:
-        """Blocks belonging to this loop level but not to any inner loop."""
-        inner: Set[BlockId] = set()
-        for child in self.children:
-            inner |= nests[child].blocks
-        return self.blocks - inner
+    own_blocks: Set[BlockId] = field(default_factory=set)
 
 
 class CDFG:
@@ -53,6 +56,7 @@ class CDFG:
         #: scratchpad array names referenced by LOAD/STORE
         self.arrays: Tuple[str, ...] = tuple(arrays)
         self._loop_nests: Optional[Dict[BlockId, LoopNest]] = None
+        self._branch_regions: Optional[Dict[BlockId, Set[BlockId]]] = None
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -111,6 +115,10 @@ class CDFG:
                 depth += 1
                 cursor = nests[cursor].parent
             nests[header].depth = depth
+        for nest in nests.values():
+            nest.own_blocks = nest.blocks.difference(
+                *(nests[child].blocks for child in nest.children)
+            )
         return nests
 
     def max_loop_depth(self) -> int:
@@ -128,10 +136,6 @@ class CDFG:
                 if best is None or len(nest.blocks) < len(best.blocks):
                     best = nest
         return best
-
-    def loop_depth_of_block(self, block_id: BlockId) -> int:
-        nest = self.loop_of_block(block_id)
-        return nest.depth if nest else 0
 
     def levels_inner_to_outer(self) -> List[List[LoopNest]]:
         """Loop nests grouped by depth, innermost (deepest) first."""
@@ -155,11 +159,10 @@ class CDFG:
         This is the paper's *Imperfect Loop* form: computation present in
         outer loop bodies (Section 3.1).
         """
-        nests = self.loop_nests()
-        for nest in nests.values():
+        for nest in self.loop_nests().values():
             if not nest.children:
                 continue
-            for bid in nest.own_blocks(nests):
+            for bid in nest.own_blocks:
                 block = self.block(bid)
                 if block.role is BlockRole.LOOP_HEADER and bid == nest.header:
                     continue
@@ -176,29 +179,37 @@ class CDFG:
                 out.append(block)
         return out
 
-    def under_branch_blocks(self) -> Set[BlockId]:
-        """Blocks control-dependent on a non-loop branch (branch arms/merges
-        reached before the merge point re-joins).
+    def branch_regions(self) -> Dict[BlockId, Set[BlockId]]:
+        """Divergent branch block id -> the blocks under it, computed once
+        and cached.
 
-        Computed structurally: for each divergent branch, the blocks reachable
-        from exactly one of the two arms before reaching a common
-        post-dominator are "under" the branch.  Builder roles give the same
-        answer for builder-produced CDFGs; this stays correct for hand-built
-        graphs too.
+        A branch's region is the set of blocks reachable from exactly one
+        of its two arms before the arms re-join (without passing back
+        through the branch or over a loop back edge).  Builder roles give
+        the same answer for builder-produced CDFGs; this stays correct for
+        hand-built graphs too.
         """
-        under: Set[BlockId] = set()
-        for block in self.branch_blocks():
-            term = block.terminator
-            assert isinstance(term, Branch)
-            reach_true = self._forward_region(term.if_true, block.block_id)
-            reach_false = self._forward_region(term.if_false, block.block_id)
-            under |= reach_true.symmetric_difference(reach_false)
-        return under
+        if self._branch_regions is None:
+            back = set(self.cfg.back_edges())
+            self._branch_regions = {}
+            for block in self.branch_blocks():
+                term = block.terminator
+                assert isinstance(term, Branch)
+                bid = block.block_id
+                reach_true = self._forward_region(term.if_true, bid, back)
+                reach_false = self._forward_region(term.if_false, bid, back)
+                self._branch_regions[bid] = reach_true ^ reach_false
+        return self._branch_regions
 
-    def _forward_region(self, start: BlockId, stop: BlockId) -> Set[BlockId]:
+    def under_branch_blocks(self) -> Set[BlockId]:
+        """Blocks control-dependent on a non-loop branch: the union of
+        :meth:`branch_regions`."""
+        return set().union(*self.branch_regions().values())
+
+    def _forward_region(self, start: BlockId, stop: BlockId,
+                        back: Set[Tuple[BlockId, BlockId]]) -> Set[BlockId]:
         """Blocks reachable from ``start`` without passing through ``stop``
-        or traversing loop back edges."""
-        back = set(self.cfg.back_edges())
+        or traversing the ``back`` edges."""
         seen: Set[BlockId] = set()
         stack = [start]
         while stack:

@@ -10,11 +10,16 @@ Side effects (stores) carry no result; their program order is preserved by
 the creation order.  Live-in variables enter through ``INPUT`` nodes and
 live-out variables are named bindings to node ids (held by the enclosing
 :class:`~repro.ir.cfg.BasicBlock`).
+
+:meth:`DFG.add` is the only way a node enters the graph, and since a node's
+operands already exist, it also keeps the facts that depend only on the
+nodes so far: the list of FU nodes and each node's accumulated latency.
+Queries read them instead of re-walking the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
@@ -47,10 +52,6 @@ class Node:
     def info(self):
         return op_info(self.opcode)
 
-    @property
-    def needs_fu(self) -> bool:
-        return self.info.needs_fu
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         extra = ""
         if self.array is not None:
@@ -68,6 +69,10 @@ class DFG:
 
     def __init__(self) -> None:
         self.nodes: List[Node] = []
+        #: nodes that occupy a function unit when mapped (non-meta)
+        self.fu_nodes: List[Node] = []
+        #: node id -> accumulated latency from DFG inputs to its output
+        self._depth: List[int] = []
         self._const_cache: Dict[float, NodeId] = {}
         self._input_cache: Dict[str, NodeId] = {}
 
@@ -103,9 +108,13 @@ class DFG:
         if opcode in (Opcode.LOAD, Opcode.STORE) and not array:
             raise IRError(f"{opcode.value} requires an array name")
         node_id = len(self.nodes)
-        self.nodes.append(
-            Node(node_id, opcode, tuple(operands), array=array, value=value,
-                 var=var)
+        node = Node(node_id, opcode, tuple(operands), array=array,
+                    value=value, var=var)
+        self.nodes.append(node)
+        if info.needs_fu:
+            self.fu_nodes.append(node)
+        self._depth.append(
+            max((self._depth[o] for o in operands), default=0) + info.latency
         )
         return node_id
 
@@ -135,11 +144,6 @@ class DFG:
         return self.nodes[node_id]
 
     @property
-    def fu_nodes(self) -> List[Node]:
-        """Nodes that occupy a function unit when mapped (non-meta)."""
-        return [n for n in self.nodes if n.needs_fu]
-
-    @property
     def op_count(self) -> int:
         """Number of FU operations (the paper's "operators")."""
         return len(self.fu_nodes)
@@ -167,19 +171,11 @@ class DFG:
         This is the drain time of a spatial pipeline executing the block: the
         longest accumulated FU latency over any dependence chain.
         """
-        depth: Dict[NodeId, int] = {}
-        for node in self.nodes:  # creation order is topological
-            base = max((depth[o] for o in node.operands), default=0)
-            depth[node.node_id] = base + node.info.latency
-        return max(depth.values(), default=0)
+        return max(self._depth, default=0)
 
     def depth_of(self, node_id: NodeId) -> int:
         """Accumulated latency from DFG inputs to the *output* of a node."""
-        depth: Dict[NodeId, int] = {}
-        for node in self.nodes:
-            base = max((depth[o] for o in node.operands), default=0)
-            depth[node.node_id] = base + node.info.latency
-        return depth[node_id]
+        return self._depth[node_id]
 
     def op_histogram(self) -> Dict[Opcode, int]:
         """Opcode -> static count, FU ops only."""

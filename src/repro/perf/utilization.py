@@ -30,7 +30,7 @@ def _outer_blocks(kernel: KernelInstance) -> Set[BlockId]:
     out: Set[BlockId] = set()
     for nest in kernel.nests.values():
         if nest.children:
-            out |= nest.own_blocks(kernel.nests)
+            out |= nest.own_blocks
     return out
 
 
@@ -56,11 +56,9 @@ def outer_bb_utilization(kernel: KernelInstance, result: CycleResult,
             if breakdown.innermost and breakdown.unroll > 1:
                 share = (breakdown.unroll - 1) / breakdown.unroll
                 nest = kernel.nests[breakdown.header]
-                inner_ops += int(
-                    share * kernel.trace.dynamic_ops_in(
-                        kernel.cdfg, nest.own_blocks(kernel.nests)
-                    )
-                )
+                inner_ops += int(share * kernel.trace.dynamic_ops_in(
+                    kernel.cdfg, nest.own_blocks
+                ))
         busy += inner_ops * params.t_execute
     capacity = outer_pes * max(1, result.cycles)
     return min(1.0, busy / capacity)

@@ -7,6 +7,7 @@ built from; the invariant tests sweep every model over every workload.
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.arch.params import ArchParams
@@ -23,6 +24,8 @@ from repro.baselines import (
 from repro.baselines.base import KernelInstance
 from repro.compiler.place import place_block
 from repro.errors import PlacementError
+from repro.ir.builder import KernelBuilder
+from repro.ir.interp import Interpreter
 from repro.workloads import ALL_WORKLOADS, INTENSIVE_WORKLOADS, get_workload
 
 
@@ -127,11 +130,11 @@ class TestMechanisms:
             n for n in branchy.nests.values()
             if not n.children and any(
                 branchy.cdfg.block(b).role.value == "branch_arm"
-                for b in n.own_blocks(branchy.nests)
+                for b in n.own_blocks
             )
         ]
         assert inner
-        blocks = inner[0].own_blocks(branchy.nests)
+        blocks = inner[0].own_blocks
         merged = branchy.ops_of_blocks(blocks, merge_arms=True)
         full = branchy.ops_of_blocks(blocks, merge_arms=False)
         assert merged < full
@@ -213,6 +216,34 @@ class TestPlacementMemo:
             else:
                 assert kernel.placement_ii(block.block_id, without) == fresh
         assert refused  # sigmoid's body needs a nonlinear-capable PE
+
+
+class TestScheduleMemo:
+    @staticmethod
+    def _kernel(extra_madds):
+        k = KernelBuilder("k")
+        n = k.param("n")
+        k.array("a")
+        k.array("o")
+        with k.loop("i", 0, n) as i:
+            value = k.load("a", i)
+            for _ in range(extra_madds):
+                value = value * 3 + 1
+            k.store("o", i, value)
+        cdfg = k.build()
+        memory = {"a": np.zeros(8), "o": np.zeros(8)}
+        trace = Interpreter(cdfg).run(memory, {"n": 8}).trace
+        return KernelInstance(cdfg, trace)
+
+    def test_same_name_kernels_get_their_own_schedule(self):
+        """The Marionette schedule memo is keyed by the CDFG it reads, so a
+        second kernel sharing the first one's name is not priced with the
+        first one's placements."""
+        model = MarionetteModel(ArchParams())
+        model.simulate(self._kernel(0))
+        second = self._kernel(20)
+        fresh = MarionetteModel(ArchParams()).simulate(second).cycles
+        assert model.simulate(second).cycles == fresh
 
 
 class TestPaperShapes:

@@ -24,9 +24,8 @@ class TestLoopNest:
         assert inner[0].depth == 2
 
     def test_loop_of_block(self, imperfect_kernel):
-        nests = imperfect_kernel.loop_nests()
         inner = imperfect_kernel.innermost_loops()[0]
-        for bid in inner.own_blocks(nests):
+        for bid in inner.own_blocks:
             found = imperfect_kernel.loop_of_block(bid)
             assert found is not None and found.header == inner.header
 

@@ -1,11 +1,13 @@
 """Unit tests for the per-block data flow graph."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import IRError
+from repro.ir.builder import KernelBuilder
 from repro.ir.dfg import DFG
 from repro.ir.ops import Opcode
+from repro.workloads import ALL_WORKLOADS
 
 
 def build_chain(length: int) -> DFG:
@@ -126,3 +128,89 @@ class TestProperties:
                 assert ids[value] == node
             ids[value] = node
         assert len({dfg.node(i).value for i in ids.values()}) == len(ids)
+
+
+# ----------------------------------------------------------------------
+# Parity: the facts DFG.add keeps equal a walk over the finished graph
+# ----------------------------------------------------------------------
+def reference_depths(dfg):
+    """Accumulated latency per node, by one walk in creation order."""
+    depth = {}
+    for node in dfg.nodes:
+        base = max((depth[o] for o in node.operands), default=0)
+        depth[node.node_id] = base + node.info.latency
+    return depth
+
+
+def assert_matches_walk(dfg):
+    expected_fu = [n for n in dfg.nodes if n.info.needs_fu]
+    assert len(dfg.fu_nodes) == len(expected_fu)
+    assert all(a is b for a, b in zip(dfg.fu_nodes, expected_fu))
+    depth = reference_depths(dfg)
+    assert dfg.critical_path_length() == max(depth.values(), default=0)
+    for node_id, expected in depth.items():
+        assert dfg.depth_of(node_id) == expected
+
+
+@st.composite
+def random_kernels(draw):
+    """A loop whose body chains random ops, branches, a then-only arm and
+    a nested loop."""
+    k = KernelBuilder("fuzz")
+    n = k.param("n")
+    k.array("a")
+    k.array("o")
+    ops = draw(st.lists(
+        st.sampled_from(["add", "mul", "min", "sin", "branch", "if", "nest"]),
+        min_size=1, max_size=8,
+    ))
+    with k.loop("i", 0, n) as i:
+        value = k.load("a", i)
+        for op in ops:
+            if op == "add":
+                value = value + k.load("a", i + 1)
+            elif op == "mul":
+                value = value * 3
+            elif op == "min":
+                value = k.minimum(value, i)
+            elif op == "sin":
+                value = k.sin(value)
+            elif op == "branch":
+                with k.branch(value > 1) as br:
+                    k.set("t", value * 2)
+                with br.orelse():
+                    k.set("t", value - 1)
+                value = k.get("t")
+            elif op == "if":
+                k.set("u", value)
+                with k.if_(value < 0):
+                    k.set("u", -value)
+                value = k.get("u")
+            else:
+                k.set("acc", value)
+                with k.loop("j", 0, i) as j:
+                    k.set("acc", k.get("acc") + j * value)
+                value = k.get("acc")
+        k.store("o", i, value)
+    return k.build()
+
+
+class TestIncrementalFacts:
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    @pytest.mark.parametrize(
+        "workload", ALL_WORKLOADS, ids=[w.short for w in ALL_WORKLOADS]
+    )
+    def test_every_workload_block_matches_walk(self, workload, scale):
+        cdfg = workload.build(workload.sizes(scale))
+        for block in cdfg.blocks:
+            assert_matches_walk(block.dfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_kernels())
+    def test_random_kernels_match_walk(self, cdfg):
+        for block in cdfg.blocks:
+            assert_matches_walk(block.dfg)
+
+    def test_chain_and_empty_match_walk(self):
+        assert_matches_walk(build_chain(7))
+        assert_matches_walk(DFG())
